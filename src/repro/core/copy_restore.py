@@ -10,28 +10,50 @@ the engine:
   pointers to modified-old objects into pointers to the originals.
 
 Both steps run in a single traversal of the modified graph, as the paper's
-Section 5.2.3 describes. The only subtlety Python adds over Java is hashed
-containers: overwriting an object that is a key in a dict (or member of a
-set) can change its hash, so the engine applies rewrites in two waves —
-field/sequence overwrites first, dict/set rebuilds last — so every key is
-hashed exactly once, after its final state is in place.
+Section 5.2.3 describes. The traversal records one flat ``(kind, target,
+payload)`` entry per rewritable object — the object's captured state, list
+items, bytes, dict pairs or set members — and an apply loop then replays
+the records. The only subtlety Python adds over Java is hashed containers:
+overwriting an object that is a key in a dict (or member of a set) can
+change its hash, so the records form two waves — field/sequence overwrites
+first, dict/set rebuilds last — and every key is hashed exactly once, after
+its final state is in place.
 
 Immutable containers (tuples, frozensets) cannot be overwritten; they are
 rebuilt with converted elements, preserving sharing, and the *parents* get
 the rebuilt value. This mirrors how Java treats Strings and boxed
 primitives as values.
+
+Pointer conversion is one ``id()``-keyed dict lookup per value: a value
+that is a modified old object maps to its original, anything else (a
+primitive, a new object, an object the delta path already resolved to its
+original) maps to itself.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.matching import MatchResult
 from repro.errors import RestoreError
 from repro.serde.accessors import FieldAccessor, OPTIMIZED_ACCESSOR
-from repro.serde.hooks import transient_fields
-from repro.serde.kinds import Kind, classify, is_immutable_container
-from repro.util.identity import IdentityMap, IdentitySet
+from repro.serde.kinds import KIND_CACHE, Kind, classify
+from repro.util.identity import IdentitySet
+
+# ``Kind.X`` is a slow attribute lookup on an Enum class; the per-object
+# loops below compare against these module names with ``is`` instead.
+_PRIMITIVE = Kind.PRIMITIVE
+_UNSUPPORTED = Kind.UNSUPPORTED
+_OBJECT = Kind.OBJECT
+_LIST = Kind.LIST
+_TUPLE = Kind.TUPLE
+_FROZENSET = Kind.FROZENSET
+_DICT = Kind.DICT
+_SET = Kind.SET
+_BYTEARRAY = Kind.BYTEARRAY
+
+#: The exact types classify() calls TUPLE and FROZENSET.
+_REBUILT_TYPES = frozenset({tuple, frozenset})
 
 
 class RestoreStats:
@@ -87,166 +109,133 @@ class RestoreEngine:
 
         Returns ``(converted_result, stats)``.
         """
-        accessor = self._accessor
-        m2o = match.modified_to_original
-        skip_set = skip if skip is not None else IdentitySet()
+        get_state = self._accessor.get_state
+        replace_state = self._accessor.replace_state
+        opaque = self._opaque
+        kind_of = KIND_CACHE.get
+        original_of = match.original_by_id.get
         stats = RestoreStats()
-        rebuilt: IdentityMap[Any] = IdentityMap()  # modified immutable -> rebuilt
+        rebuilt: Dict[int, Any] = {}  # id(modified immutable) -> rebuilt
+        old_overwritten = 0
+        new_adopted = 0
 
-        def convert(value: Any) -> Any:
-            """Map a value in the modified graph to its caller-site value."""
-            kind = classify(value)
-            if kind is Kind.PRIMITIVE:
-                return value
-            original = m2o.get(value)
-            if original is not None:
-                return original
-            if is_immutable_container(kind):
-                cached = rebuilt.get(value)
-                if cached is not None:
-                    return cached
-                if kind is Kind.TUPLE:
-                    replacement = tuple(convert(item) for item in value)
-                else:
-                    replacement = frozenset(convert(item) for item in value)
-                rebuilt[value] = replacement
-                stats.immutables_rebuilt += 1
-                return replacement
-            # New object (server-allocated) or an already-original object:
-            # keep identity; its own slots are fixed by the traversal.
-            return value
-
-        # ---- traversal of the modified graph, collecting rewrite actions
-        sequence_actions: List[Callable[[], None]] = []
-        hashed_actions: List[Callable[[], None]] = []
-
-        visited = IdentitySet()
+        # ---- traversal of the modified graph, recording rewrites
+        first_wave: List[Tuple[Kind, Any, Any]] = []   # fields and sequences
+        second_wave: List[Tuple[Kind, Any, Any]] = []  # dict/set rebuilds
+        # Skipped objects are treated exactly like already-visited ones.
+        visited = {id(obj) for obj in skip} if skip else set()
         stack: List[Any] = [result]
         stack.extend(reversed(match.modifieds))
+        pop = stack.pop
+        push = stack.append
         while stack:
-            obj = stack.pop()
-            kind = classify(obj)
-            if kind is Kind.PRIMITIVE or kind is Kind.UNSUPPORTED:
+            obj = pop()
+            kind = kind_of(type(obj)) or classify(obj)
+            if kind is _PRIMITIVE or kind is _UNSUPPORTED:
                 continue
-            if obj in visited or obj in skip_set:
+            obj_id = id(obj)
+            if obj_id in visited:
                 continue
-            if self._opaque is not None and self._opaque(obj):
+            if opaque is not None and opaque(obj):
                 continue
-            visited.add(obj)
+            visited.add(obj_id)
 
-            if is_immutable_container(kind):
+            if kind is _TUPLE or kind is _FROZENSET:
                 # Not rewritable; just keep walking through it.
                 stack.extend(reversed(list(obj)))
                 continue
 
-            original = m2o.get(obj)
-            target = original if original is not None else obj
-            if original is not None:
-                stats.old_overwritten += 1
+            target = original_of(obj_id)
+            if target is None:
+                target = obj
+                new_adopted += 1
             else:
-                stats.new_adopted += 1
+                old_overwritten += 1
 
-            if kind is Kind.OBJECT:
-                state = accessor.get_state(obj)
-                stack.extend(value for _name, value in reversed(state))
-                sequence_actions.append(
-                    self._make_object_action(target, state, convert, accessor)
-                )
-            elif kind is Kind.LIST:
-                stack.extend(reversed(obj))
-                items = list(obj)
-                sequence_actions.append(self._make_list_action(target, items, convert))
-            elif kind is Kind.BYTEARRAY:
-                data = bytes(obj)
-                sequence_actions.append(self._make_bytearray_action(target, data))
-            elif kind is Kind.DICT:
-                pairs = list(obj.items())
-                for key, value in reversed(pairs):
-                    stack.append(value)
-                    stack.append(key)
-                hashed_actions.append(self._make_dict_action(target, pairs, convert))
-            elif kind is Kind.SET:
+            if kind is _OBJECT:
+                state = get_state(obj)
+                for _name, value in reversed(state):
+                    push(value)
+                first_wave.append((kind, target, state))
+            elif kind is _LIST:
                 items = list(obj)
                 stack.extend(reversed(items))
-                hashed_actions.append(self._make_set_action(target, items, convert))
+                first_wave.append((kind, target, items))
+            elif kind is _BYTEARRAY:
+                first_wave.append((kind, target, bytes(obj)))
+            elif kind is _DICT:
+                pairs = list(obj.items())
+                for key, value in reversed(pairs):
+                    push(value)
+                    push(key)
+                second_wave.append((kind, target, pairs))
+            elif kind is _SET:
+                items = list(obj)
+                stack.extend(reversed(items))
+                second_wave.append((kind, target, items))
             else:  # pragma: no cover - kinds are exhaustive above
                 raise RestoreError(f"cannot restore object of kind {kind}")
+        stats.old_overwritten = old_overwritten
+        stats.new_adopted = new_adopted
 
-        # ---- apply: fields and sequences first, hashed containers last
-        for action in sequence_actions:
-            action()
-        for action in hashed_actions:
-            action()
-
-        return convert(result), stats
-
-    # ----------------------------------------------------- action builders
-
-    @staticmethod
-    def _make_object_action(
-        target: Any,
-        state: List[Tuple[str, Any]],
-        convert: Callable[[Any], Any],
-        accessor: FieldAccessor,
-    ) -> Callable[[], None]:
-        def apply() -> None:
-            new_state = [(name, convert(value)) for name, value in state]
-            transients = transient_fields(type(target))
-            preserved = []
-            if transients:
-                # Transient fields never travel, so the caller's local
-                # values must survive the overwrite untouched.
-                preserved = [
-                    (name, value)
-                    for name, value in accessor.get_state(target)
-                    if name in transients
+        # ---- apply: fields and sequences first, hashed containers last.
+        # Values convert inline (``original_of(id(v), v)``); only tuples and
+        # frozensets take the _convert call that rebuilds them.
+        for kind, target, payload in first_wave:
+            if kind is _OBJECT:
+                replace_state(target, [
+                    (name, _convert(value, original_of, rebuilt, stats)
+                     if type(value) in _REBUILT_TYPES
+                     else original_of(id(value), value))
+                    for name, value in payload
+                ])
+            elif kind is _LIST:
+                target[:] = [
+                    _convert(value, original_of, rebuilt, stats)
+                    if type(value) in _REBUILT_TYPES
+                    else original_of(id(value), value)
+                    for value in payload
                 ]
-            stale = {name for name, _ in accessor.get_state(target)}
-            stale.difference_update(name for name, _ in new_state)
-            stale.difference_update(transients)
-            accessor.set_state(target, new_state + preserved)
-            for name in stale:
-                try:
-                    object.__delattr__(target, name)
-                except AttributeError:
-                    pass
-
-        return apply
-
-    @staticmethod
-    def _make_list_action(
-        target: list, items: List[Any], convert: Callable[[Any], Any]
-    ) -> Callable[[], None]:
-        def apply() -> None:
-            target[:] = [convert(item) for item in items]
-
-        return apply
-
-    @staticmethod
-    def _make_bytearray_action(target: bytearray, data: bytes) -> Callable[[], None]:
-        def apply() -> None:
-            target[:] = data
-
-        return apply
-
-    @staticmethod
-    def _make_dict_action(
-        target: dict, pairs: List[Tuple[Any, Any]], convert: Callable[[Any], Any]
-    ) -> Callable[[], None]:
-        def apply() -> None:
-            converted = [(convert(key), convert(value)) for key, value in pairs]
+            else:
+                target[:] = payload
+        for kind, target, payload in second_wave:
+            if kind is _DICT:
+                converted = [
+                    (
+                        _convert(key, original_of, rebuilt, stats),
+                        _convert(value, original_of, rebuilt, stats),
+                    )
+                    for key, value in payload
+                ]
+            else:
+                converted = [_convert(item, original_of, rebuilt, stats) for item in payload]
             target.clear()
             target.update(converted)
 
-        return apply
+        return _convert(result, original_of, rebuilt, stats), stats
 
-    @staticmethod
-    def _make_set_action(
-        target: set, items: List[Any], convert: Callable[[Any], Any]
-    ) -> Callable[[], None]:
-        def apply() -> None:
-            converted = [convert(item) for item in items]
-            target.clear()
-            target.update(converted)
 
-        return apply
+def _convert(
+    value: Any,
+    original_of: Callable[..., Any],
+    rebuilt: Dict[int, Any],
+    stats: RestoreStats,
+) -> Any:
+    """Map a value in the modified graph to its caller-site value.
+
+    A modified old object becomes its original; a tuple or frozenset is
+    rebuilt with converted elements, once per identity so sharing
+    survives; anything else — a primitive, a new (server-allocated) object
+    whose own slots the traversal fixes, an already-original object —
+    keeps its identity.
+    """
+    if type(value) not in _REBUILT_TYPES:
+        return original_of(id(value), value)
+    cached = rebuilt.get(id(value))
+    if cached is not None:
+        return cached
+    items = [_convert(item, original_of, rebuilt, stats) for item in value]
+    replacement = tuple(items) if type(value) is tuple else frozenset(items)
+    rebuilt[id(value)] = replacement
+    stats.immutables_rebuilt += 1
+    return replacement

@@ -4,28 +4,29 @@ The caller recorded the original linear map while marshalling; the restore
 payload carries the modified versions of (a subset of) those objects, in
 the same positional order. Matching is therefore index-wise; this module
 validates the match and builds the identity mapping
-``modified object -> original object`` that steps 5-6 consume.
+``id(modified object) -> original object`` that steps 5-6 consume.
 """
 
 from __future__ import annotations
 
-from typing import Any, List
+from typing import Any, Dict, List
 
 from repro.errors import LinearMapMismatchError, RestoreError
-from repro.util.identity import IdentityMap
 
 
 class MatchResult:
     """The outcome of matching: aligned (original, modified) pairs."""
 
-    __slots__ = ("originals", "modifieds", "modified_to_original")
+    __slots__ = ("originals", "modifieds", "original_by_id")
 
     def __init__(self, originals: List[Any], modifieds: List[Any]) -> None:
         self.originals = originals
         self.modifieds = modifieds
-        self.modified_to_original: IdentityMap[Any] = IdentityMap()
-        for original, modified in zip(originals, modifieds):
-            self.modified_to_original[modified] = original
+        # ``id(modified) -> original``: the restore engine's hot lookup. The
+        # match holds every modified object, so no id is recycled under it.
+        self.original_by_id: Dict[int, Any] = {
+            id(modified): original for original, modified in zip(originals, modifieds)
+        }
 
     def __len__(self) -> int:
         return len(self.originals)

@@ -454,18 +454,20 @@ class DceRestorePolicy(RestorePolicy):
     def build_response(
         self, result: Any, context: ServerRestoreContext, snapshot: Any
     ) -> bytes:
-        still_reachable = IdentitySet()
-        for obj in reachable(
-            list(context.restore_roots),
-            context.accessor,
-            mutable_only=True,
-            stop=context.stop,
-        ):
-            still_reachable.add(obj)
+        # Ids of live objects: the parameters' graph pins every one of them.
+        still_reachable = {
+            id(obj)
+            for obj in reachable(
+                list(context.restore_roots),
+                context.accessor,
+                mutable_only=True,
+                stop=context.stop,
+            )
+        }
         kept_indices = [
             index
             for index, obj in enumerate(context.retained)
-            if obj in still_reachable
+            if id(obj) in still_reachable
         ]
         writer = ObjectWriter(
             profile=context.profile,

@@ -66,7 +66,6 @@ from repro.serde.reader import ObjectReader
 from repro.serde.walker import reachable
 from repro.serde.writer import ObjectWriter
 from repro.util.buffers import BufferReader
-from repro.util.identity import IdentitySet
 from repro.util.logging import get_logger
 
 logger = get_logger("nrmi.invocation")
@@ -134,15 +133,17 @@ def compute_retained_indexed(
     """
     if not roots:
         return [], []
-    reach = IdentitySet()
-    for obj in reachable(
-        list(roots), accessor, mutable_only=True, stop=is_opaque_remote
-    ):
-        reach.add(obj)
+    # Ids of live objects: the graph under *roots* pins every one of them.
+    reach = {
+        id(obj)
+        for obj in reachable(
+            list(roots), accessor, mutable_only=True, stop=is_opaque_remote
+        )
+    }
     retained: List[Any] = []
     indices: List[int] = []
     for index, obj in enumerate(linear_map):
-        if obj in reach:
+        if id(obj) in reach:
             retained.append(obj)
             indices.append(index)
     return retained, indices

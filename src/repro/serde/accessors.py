@@ -24,9 +24,10 @@ classes may have side effects middleware must not trigger.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Tuple
 
 from repro.errors import SerializationError
+from repro.serde.hooks import transient_fields
 
 FieldState = List[Tuple[str, Any]]
 
@@ -62,6 +63,30 @@ class FieldAccessor:
 
     def set_field(self, obj: Any, name: str, value: Any) -> None:
         raise NotImplementedError
+
+    def replace_state(self, obj: Any, state: FieldState) -> None:
+        """Make *state* the instance's whole state (the restore overwrite).
+
+        Transient fields never travel, so the caller's local values survive
+        untouched; every other field the instance has and *state* lacks is
+        deleted. The generic version diffs against :meth:`get_state`.
+        """
+        self._replace_by_diff(obj, state, transient_fields(type(obj)))
+
+    def _replace_by_diff(
+        self, obj: Any, state: FieldState, transients: FrozenSet[str]
+    ) -> None:
+        current = self.get_state(obj)
+        preserved = [(name, value) for name, value in current if name in transients]
+        stale = {name for name, _ in current}
+        stale.difference_update(name for name, _ in state)
+        stale.difference_update(transients)
+        self.set_state(obj, state + preserved if preserved else state)
+        for name in stale:
+            try:
+                object.__delattr__(obj, name)
+            except AttributeError:
+                pass
 
     def new_instance(self, cls: type) -> Any:
         """Allocate an instance of *cls* without running ``__init__``."""
@@ -120,12 +145,18 @@ class PortableAccessor(FieldAccessor):
 class _ClassPlan:
     """Cached per-class layout used by the optimized accessor."""
 
-    __slots__ = ("cls", "slot_names", "has_dict", "factory")
+    __slots__ = ("cls", "slot_names", "has_dict", "transients", "bulk_replace", "factory")
 
     def __init__(self, cls: type) -> None:
         self.cls = cls
         self.slot_names: Tuple[str, ...] = tuple(_collect_slot_names(cls))
-        self.has_dict = hasattr(cls, "__dict__") or not self.slot_names
+        # The layout decides: every class object has a ``__dict__``
+        # attribute, but only instances of dict-bearing layouts do.
+        self.has_dict = cls.__dictoffset__ != 0
+        self.transients = transient_fields(cls)
+        # Dict-only and transient-free: a restore overwrite is a wholesale
+        # ``__dict__`` swap, which drops stale names by itself.
+        self.bulk_replace = self.has_dict and not self.slot_names and not self.transients
         factory: Callable[[], Any] = object.__new__  # bound below
         self.factory = lambda: factory(cls)
 
@@ -150,11 +181,13 @@ class OptimizedAccessor(FieldAccessor):
         return plan
 
     def get_state(self, obj: Any) -> FieldState:
-        plan = self._plan_for(type(obj))
-        instance_dict = obj.__dict__ if plan.has_dict and hasattr(obj, "__dict__") else None
-        if instance_dict is not None and not plan.slot_names:
-            return list(instance_dict.items())
-        state: FieldState = list(instance_dict.items()) if instance_dict else []
+        plan = self._plans.get(type(obj)) or self._plan_for(type(obj))
+        if not plan.has_dict:
+            state: FieldState = []
+        elif not plan.slot_names:
+            return list(obj.__dict__.items())
+        else:
+            state = list(obj.__dict__.items())
         for field_name in plan.slot_names:
             try:
                 state.append((field_name, getattr(obj, field_name)))
@@ -164,13 +197,23 @@ class OptimizedAccessor(FieldAccessor):
 
     def set_state(self, obj: Any, state: FieldState) -> None:
         plan = self._plan_for(type(obj))
-        if plan.has_dict and not plan.slot_names and hasattr(obj, "__dict__"):
+        if plan.has_dict and not plan.slot_names:
             # Bulk path: replace the instance dict wholesale.
-            obj.__dict__.clear()
-            obj.__dict__.update(state)
+            instance_dict = obj.__dict__
+            instance_dict.clear()
+            instance_dict.update(state)
             return
         for field_name, value in state:
             object.__setattr__(obj, field_name, value)
+
+    def replace_state(self, obj: Any, state: FieldState) -> None:
+        plan = self._plans.get(type(obj)) or self._plan_for(type(obj))
+        if plan.bulk_replace:
+            instance_dict = obj.__dict__
+            instance_dict.clear()
+            instance_dict.update(state)
+            return
+        self._replace_by_diff(obj, state, plan.transients)
 
     def set_field(self, obj: Any, name: str, value: Any) -> None:
         object.__setattr__(obj, name, value)

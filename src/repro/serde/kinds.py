@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import types
 from enum import Enum, auto
-from typing import Any
+from typing import Any, Dict
 
 
 class Kind(Enum):
@@ -44,6 +44,13 @@ _EXACT_KIND = {
     bytearray: Kind.BYTEARRAY,
 }
 
+#: ``type -> Kind`` memo behind :func:`classify`, seeded with the exact
+#: containers and filled on first sight of every type whose instances all
+#: classify alike. Graph walks probe it inline —
+#: ``KIND_CACHE.get(type(obj)) or classify(obj)`` — so a visited object
+#: costs one dict lookup instead of a call. Read-only outside this module.
+KIND_CACHE: Dict[type, Kind] = dict(_EXACT_KIND)
+
 _MUTABLE_KINDS = frozenset(
     {Kind.LIST, Kind.SET, Kind.DICT, Kind.BYTEARRAY, Kind.OBJECT}
 )
@@ -69,9 +76,23 @@ def classify(obj: Any) -> Kind:
     actually serializable is decided later against the class registry.
     Code-like objects (functions, classes, modules, generators) are
     unsupported: middleware moves data, never code.
+
+    The answer is memoised per type in :data:`KIND_CACHE` whenever the type
+    alone decides it (see :func:`_kind_is_per_type`).
     """
     obj_type = type(obj)
-    kind = _EXACT_KIND.get(obj_type)
+    kind = KIND_CACHE.get(obj_type)
+    if kind is not None:
+        return kind
+    kind = classify_uncached(obj)
+    if _kind_is_per_type(obj_type, kind):
+        KIND_CACHE[obj_type] = kind
+    return kind
+
+
+def classify_uncached(obj: Any) -> Kind:
+    """:func:`classify` without the per-type memo (the reference answer)."""
+    kind = _EXACT_KIND.get(type(obj))
     if kind is not None:
         return kind
     if isinstance(obj, _PRIMITIVE_TYPES):
@@ -79,9 +100,33 @@ def classify(obj: Any) -> Kind:
         return Kind.PRIMITIVE
     if isinstance(obj, _CODE_LIKE_TYPES):
         return Kind.UNSUPPORTED
-    if hasattr(obj, "__dict__") or hasattr(obj_type, "__slots__"):
+    if hasattr(obj, "__dict__") or hasattr(type(obj), "__slots__"):
         return Kind.OBJECT
     return Kind.UNSUPPORTED
+
+
+def _kind_is_per_type(obj_type: type, kind: Kind) -> bool:
+    """True when every instance of *obj_type* classifies as *kind*.
+
+    Primitive and code-like answers hold for the whole type when the type
+    really subclasses one of those tables; an ``isinstance`` that succeeded
+    only through a ``__class__`` override does not. The ``OBJECT`` (and
+    data-less ``UNSUPPORTED``) answer rests on ``hasattr`` probes, which a
+    class with ``__getattr__``, an overridden ``__getattribute__`` or a
+    ``__class__`` override can answer differently per instance. Note the
+    builtins' own ``__getattribute__`` is not ``object``'s, so that guard
+    must never sit in front of the primitive case.
+    """
+    if kind is Kind.PRIMITIVE:
+        return issubclass(obj_type, _PRIMITIVE_TYPES)
+    if issubclass(obj_type, _CODE_LIKE_TYPES):
+        return True
+    if obj_type.__getattribute__ is not object.__getattribute__:
+        return False
+    return not any(
+        "__getattr__" in vars(klass) or "__class__" in vars(klass)
+        for klass in obj_type.__mro__[:-1]
+    )
 
 
 def code_like_type_names() -> frozenset:

@@ -7,29 +7,21 @@ tests (heap-state assertions). Traversal is iterative and identity-deduped.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.serde.accessors import FieldAccessor, OPTIMIZED_ACCESSOR
-from repro.serde.kinds import Kind, classify, is_mutable_kind
-from repro.util.identity import IdentitySet
+from repro.serde.kinds import KIND_CACHE, Kind, classify, is_mutable_kind
 
-
-def iter_children(obj: Any, accessor: FieldAccessor = OPTIMIZED_ACCESSOR) -> Iterator[Any]:
-    """Yield the objects directly referenced by *obj* (one level deep).
-
-    For dicts both keys and values are children. Primitives (including str
-    and bytes) have no children.
-    """
-    kind = classify(obj)
-    if kind in (Kind.LIST, Kind.TUPLE, Kind.SET, Kind.FROZENSET):
-        yield from obj
-    elif kind is Kind.DICT:
-        for key, value in obj.items():
-            yield key
-            yield value
-    elif kind is Kind.OBJECT:
-        for _name, value in accessor.get_state(obj):
-            yield value
+# ``Kind.X`` is a slow attribute lookup on an Enum class, and hashing a
+# member runs Python code; the per-object loop below compares against these
+# module names with ``is`` instead.
+_PRIMITIVE = Kind.PRIMITIVE
+_OBJECT = Kind.OBJECT
+_DICT = Kind.DICT
+_LIST = Kind.LIST
+_TUPLE = Kind.TUPLE
+_SET = Kind.SET
+_FROZENSET = Kind.FROZENSET
 
 
 def reachable(
@@ -41,27 +33,42 @@ def reachable(
     """Iterate every object reachable from *roots*, each exactly once.
 
     Traversal is depth-first pre-order using an explicit stack, so depth is
-    unbounded. Primitives (including str/bytes) are not yielded — they are
+    unbounded. An object's children are its field values (in
+    ``accessor.get_state`` order), its items, or, for a dict, each key then
+    its value. Primitives (including str/bytes) are not yielded — they are
     values, not identity-bearing heap cells. When *stop* returns True for
     an object, the object is yielded but not descended into (used by the
     RMI layer to stop at remote references).
     """
-    seen = IdentitySet()
+    get_state = accessor.get_state
+    kind_of = KIND_CACHE.get
+    # id -> object; holding the object pins its id for the whole walk.
+    seen: Dict[int, Any] = {}
     stack = list(reversed(roots))
+    pop = stack.pop
+    push = stack.append
     while stack:
-        obj = stack.pop()
-        kind = classify(obj)
-        if kind is Kind.PRIMITIVE:
+        obj = pop()
+        kind = kind_of(type(obj)) or classify(obj)
+        if kind is _PRIMITIVE:
             continue
-        if obj in seen:
+        obj_id = id(obj)
+        if obj_id in seen:
             continue
-        seen.add(obj)
-        if not mutable_only or is_mutable_kind(kind):
+        seen[obj_id] = obj
+        if not mutable_only or kind is _OBJECT or is_mutable_kind(kind):
             yield obj
         if stop is not None and stop(obj):
             continue
-        children = list(iter_children(obj, accessor))
-        stack.extend(reversed(children))
+        if kind is _OBJECT:
+            for _name, value in reversed(get_state(obj)):
+                push(value)
+        elif kind is _DICT:
+            for key, value in reversed(list(obj.items())):
+                push(value)
+                push(key)
+        elif kind is _LIST or kind is _TUPLE or kind is _SET or kind is _FROZENSET:
+            stack.extend(reversed(list(obj)))
 
 
 def count_reachable(roots: List[Any], accessor: FieldAccessor = OPTIMIZED_ACCESSOR) -> int:

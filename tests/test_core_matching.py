@@ -17,8 +17,8 @@ class TestMatchMaps:
         originals = [Node(1), Node(2)]
         modifieds = [Node(10), Node(20)]
         match = match_maps(originals, modifieds)
-        assert match.modified_to_original[modifieds[0]] is originals[0]
-        assert match.modified_to_original[modifieds[1]] is originals[1]
+        assert match.original_by_id[id(modifieds[0])] is originals[0]
+        assert match.original_by_id[id(modifieds[1])] is originals[1]
 
     def test_pairs_iteration(self):
         originals, modifieds = [Node(1)], [Node(9)]
@@ -43,7 +43,7 @@ class TestMatchMaps:
         """Delta restore resolves unchanged entries to the originals."""
         node = Node(1)
         match = match_maps([node], [node])
-        assert match.modified_to_original[node] is node
+        assert match.original_by_id[id(node)] is node
 
     def test_mixed_kinds_align(self):
         originals = [Node(1), [1], {"k": 1}, {1}]
@@ -63,8 +63,8 @@ class TestMatchSparse:
         originals = [Node(1), Node(2), Node(3)]
         modifieds = [Node(20), Node(30)]
         match = match_sparse(originals, [1, 2], modifieds)
-        assert match.modified_to_original[modifieds[0]] is originals[1]
-        assert match.modified_to_original[modifieds[1]] is originals[2]
+        assert match.original_by_id[id(modifieds[0])] is originals[1]
+        assert match.original_by_id[id(modifieds[1])] is originals[2]
         # Clean originals never enter the match.
         assert originals[0] not in list(dict(match.pairs()))
 

@@ -2,9 +2,14 @@
 
 import pytest
 
+import os
+
+from repro.rmi.remote_ref import RemoteDescriptor, RemotePointer
 from repro.serde.kinds import (
+    KIND_CACHE,
     Kind,
     classify,
+    classify_uncached,
     is_immutable_container,
     is_mutable_kind,
 )
@@ -35,8 +40,6 @@ class TestClassify:
         assert classify(classify) is Kind.UNSUPPORTED      # function
         assert classify(Kind) is Kind.UNSUPPORTED          # class
         assert classify((x for x in [])) is Kind.UNSUPPORTED  # generator
-        import os
-
         assert classify(os) is Kind.UNSUPPORTED            # module
         assert classify("".join) is Kind.UNSUPPORTED       # bound builtin
 
@@ -63,6 +66,130 @@ class TestClassify:
         assert is_immutable_container(Kind.TUPLE)
         assert is_immutable_container(Kind.FROZENSET)
         assert not is_immutable_container(Kind.LIST)
+
+
+class _MyInt(int):
+    pass
+
+
+class _MyStr(str):
+    pass
+
+
+class _MyList(list):
+    pass
+
+
+class _MyDict(dict):
+    pass
+
+
+class _SlotsBase:
+    __slots__ = ("a",)
+
+
+class _Mixed(_SlotsBase):
+    pass
+
+
+class _Lazy:
+    """Answers unknown attributes itself, like a proxy."""
+
+    def __getattr__(self, name):
+        raise AttributeError(name)
+
+
+class _Shy:
+    """Hides its ``__dict__`` per instance: the type cannot decide the kind."""
+
+    def __init__(self, hide):
+        self.hide = hide
+
+    def __getattribute__(self, name):
+        if name == "__dict__" and object.__getattribute__(self, "hide"):
+            raise AttributeError(name)
+        return object.__getattribute__(self, name)
+
+
+class _Liar:
+    """Claims to be an int through ``__class__``."""
+
+    @property
+    def __class__(self):
+        return int
+
+
+def _function():
+    pass
+
+
+_MEMO_CORPUS = {
+    "none": None,
+    "bool": True,
+    "int": 1,
+    "float": 1.5,
+    "complex": complex(1, 2),
+    "str": "s",
+    "bytes": b"b",
+    "int-subclass": _MyInt(3),
+    "str-subclass": _MyStr("x"),
+    "list": [],
+    "tuple": (),
+    "set": set(),
+    "frozenset": frozenset(),
+    "dict": {},
+    "bytearray": bytearray(),
+    "list-subclass": _MyList(),
+    "dict-subclass": _MyDict(),
+    "slots-only": SlottedPoint(1, 2),
+    "dict-class": Box(1),
+    "mixed-class": _Mixed(),
+    "function": _function,
+    "class": Box,
+    "module": os,
+    "bare-object": object(),
+    "getattr-class": _Lazy(),
+    "getattribute-shown": _Shy(False),
+    "getattribute-hidden": _Shy(True),
+    "class-override": _Liar(),
+    "remote-pointer": RemotePointer(None, RemoteDescriptor("inproc://x", 1)),
+}
+
+
+class TestClassifyMemo:
+    """The per-type memo never changes what classify() answers."""
+
+    @pytest.mark.parametrize("value", list(_MEMO_CORPUS.values()), ids=list(_MEMO_CORPUS))
+    def test_memo_matches_uncached(self, value):
+        expected = classify_uncached(value)
+        saved = KIND_CACHE.pop(type(value), None)
+        try:
+            assert classify(value) is expected  # first sight fills the memo
+            assert classify(value) is expected  # later calls read it
+            assert classify(value) is expected
+        finally:
+            if saved is not None:
+                KIND_CACHE[type(value)] = saved
+
+    def test_expected_kinds(self):
+        assert classify(_MyInt(3)) is Kind.PRIMITIVE
+        assert classify(_MyList()) is Kind.OBJECT
+        assert classify(_MyDict()) is Kind.OBJECT
+        assert classify(_Mixed()) is Kind.OBJECT
+        assert classify(_Liar()) is Kind.PRIMITIVE
+        assert classify(_Shy(False)) is Kind.OBJECT
+        assert classify(_Shy(True)) is Kind.UNSUPPORTED
+
+    def test_per_type_answers_cached(self):
+        for value in (_MyInt(3), Box(1), SlottedPoint(1, 2), _Mixed(), _function):
+            classify(value)
+            assert KIND_CACHE[type(value)] is classify_uncached(value)
+
+    def test_per_instance_answers_not_cached(self):
+        pointer = RemotePointer(None, RemoteDescriptor("inproc://x", 1))
+        for value in (_Lazy(), _Shy(False), _Shy(True), _Liar(), pointer):
+            classify(value)
+            assert type(value) not in KIND_CACHE
 
 
 class TestSoak:

@@ -88,6 +88,43 @@ class TestOptimizedCaching:
         accessor.get_state(Pair(3, 4))
         assert accessor._plans[Pair] is plan_first
 
+    def test_has_dict_follows_layout(self):
+        class SlotsOnly:
+            __slots__ = ("a", "b")
+
+        class DictOnly:
+            pass
+
+        class SlotsBase:
+            __slots__ = ("a",)
+
+        class MixedChild(SlotsBase):  # no __slots__: gains an instance dict
+            pass
+
+        class SlotsWithDict:
+            __slots__ = ("a", "__dict__")
+
+        accessor = OptimizedAccessor()
+        assert accessor._plan_for(SlotsOnly).has_dict is False
+        assert accessor._plan_for(DictOnly).has_dict is True
+        assert accessor._plan_for(MixedChild).has_dict is True
+        assert accessor._plan_for(SlotsWithDict).has_dict is True
+
+    def test_mixed_hierarchy_state_without_instance_probe(self):
+        class SlotsBase:
+            __slots__ = ("a",)
+
+        class MixedChild(SlotsBase):
+            pass
+
+        obj = MixedChild()
+        obj.a = 1
+        obj.b = 2
+        accessor = OptimizedAccessor()
+        assert sorted(accessor.get_state(obj)) == [("a", 1), ("b", 2)]
+        accessor.set_state(obj, [("a", 3), ("b", 4)])
+        assert (obj.a, obj.b) == (3, 4)
+
     def test_bulk_set_clears_stale_fields(self):
         accessor = OptimizedAccessor()
         pair = Pair(1, 2)

@@ -1,28 +1,39 @@
 """Graph walker and LinearMap unit tests."""
 
 from repro.serde.linear_map import LinearMap
-from repro.serde.walker import count_reachable, iter_children, reachable
+from repro.serde.walker import count_reachable, reachable
 
 from tests.model_helpers import Node, Pair
 
 
-class TestIterChildren:
+class TestChildOrder:
+    """reachable() visits an object's children in their natural order."""
+
     def test_list_children(self):
-        assert list(iter_children([1, "a", None])) == [1, "a", None]
+        a, b = [1], [2]
+        root = [a, "skipped", None, b]
+        assert [id(o) for o in reachable([root])] == [id(root), id(a), id(b)]
 
     def test_dict_children_keys_and_values(self):
-        assert list(iter_children({"k": "v"})) == ["k", "v"]
+        key, value = (1,), [2]
+        root = {key: value}
+        assert [id(o) for o in reachable([root])] == [id(root), id(key), id(value)]
 
     def test_object_children(self):
-        assert list(iter_children(Pair(1, 2))) == [1, 2]
+        first, second = [1], [2]
+        pair = Pair(first, second)
+        assert [id(o) for o in reachable([pair])] == [id(pair), id(first), id(second)]
 
     def test_primitive_has_no_children(self):
-        assert list(iter_children(42)) == []
-        assert list(iter_children("string")) == []
+        assert list(reachable([42])) == []
+        assert list(reachable(["string"])) == []
 
     def test_tuple_and_set_children(self):
-        assert list(iter_children((1, 2))) == [1, 2]
-        assert set(iter_children({3, 4})) == {3, 4}
+        inner = [1]
+        root = (inner, 2)
+        assert [id(o) for o in reachable([root])] == [id(root), id(inner)]
+        frozen = (3,)
+        assert [id(o) for o in reachable([{frozen}])][1:] == [id(frozen)]
 
 
 class TestReachable:
