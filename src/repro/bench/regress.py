@@ -1,8 +1,9 @@
 """Benchmark-regression runner: ``python -m repro.bench.regress``.
 
 Replays the serde micro-benchmark (``bench_serde_micro``: encode/decode of
-scenario III trees under the legacy, modern, and modern-interp — codegen
-disabled — profiles), a tcp/uds/shm transport round-trip comparison, a
+scenario III trees under the legacy, modern, modern-interp — codegen
+disabled — and modern-noplans profiles), a tcp/uds/shm transport
+round-trip comparison, a
 transport × payload × framing **matrix** (echo calls carrying 64 B–64 KiB
 byte payloads over plain and pipelined channels, one windowed-percentile
 row per cell), Table-5-style NRMI copy-restore calls, the delta-restore
@@ -100,13 +101,34 @@ PRE_PR_BASELINE_US = {
 }
 
 #: Serde-micro profile matrix. "modern-interp" is the modern wire format
-#: with exec-codegen disabled — the PR 5 configuration — kept as a
-#: measured row so the codegen speedup is visible inside one report.
+#: with exec-codegen disabled: interpreted encode plans plus the reader's
+#: generic frame machine for decode. "modern-noplans" also drops the
+#: compiled plans. Both are measured rows so the codegen and plan
+#: speedups are visible inside one report (and gated, see
+#: :data:`SERDE_RATIO_GATE`).
 _PROFILES = {
     "modern": MODERN_PROFILE,
     "modern-interp": _dc_replace(MODERN_PROFILE, use_codegen=False),
+    "modern-noplans": _dc_replace(MODERN_PROFILE, use_compiled_plans=False),
     "legacy": LEGACY_PROFILE,
 }
+
+#: Same-run serde ratio gate: ``(check, fast row, slow row, op, bound)``.
+#: Each check divides the fast row's p50 by the slow row's p50 from the
+#: same :func:`run_serde_micro` call and fails above *bound*, so it holds
+#: on any hardware. Healthy ratios at 256 nodes on a shared 2-vCPU box:
+#: codegen 0.35-0.83 encode and 0.11-0.27 decode, compiled plans
+#: 0.13-0.34, legacy 0.06-0.14. Losing the measured fast path drives its
+#: ratio to ~1.0. The codegen encode bound is the loose one: its healthy
+#: ratio is the noisiest, and the decode bound catches codegen loss.
+SERDE_RATIO_GATE = (
+    ("codegen", "modern", "modern-interp", "encode_us", 0.9),
+    ("codegen", "modern", "modern-interp", "decode_us", 0.5),
+    ("compiled plans", "modern", "modern-noplans", "encode_us", 0.5),
+    ("compiled plans", "modern", "modern-noplans", "decode_us", 0.5),
+    ("modern vs legacy", "modern", "legacy", "encode_us", 0.33),
+    ("modern vs legacy", "modern", "legacy", "decode_us", 0.33),
+)
 
 # Table-5 configurations exercised by the call replay (the paper's JDK 1.3
 # cell and its fastest JDK 1.4 cell).
@@ -817,6 +839,20 @@ def _check_gate(
                     f"{regression_pct:.1f}% ({old:.1f}us -> {new:.1f}us, "
                     f"limit {limit_pct:.0f}%)"
                 )
+    return failures
+
+
+def check_serde_ratios(serde: Dict[str, Dict]) -> List[str]:
+    """Failures of :data:`SERDE_RATIO_GATE` on one serde-micro result."""
+    failures: List[str] = []
+    for check, fast, slow, op, bound in SERDE_RATIO_GATE:
+        ratio = serde[fast][op] / serde[slow][op]
+        if ratio > bound:
+            failures.append(
+                f"{check}: {fast}/{slow} {op[:-3]} ratio {ratio:.2f} "
+                f"above {bound:.2f} ({serde[fast][op]:.1f}us vs "
+                f"{serde[slow][op]:.1f}us)"
+            )
     return failures
 
 

@@ -11,8 +11,9 @@ Contents:
 * :mod:`repro.core.copy_restore` — steps 5-6 (in-place overwrite and
   pointer conversion, single DFS);
 * :mod:`repro.core.restore_protocol` — the four restore policies on the
-  wire: full map (NRMI), delta (the paper's future-work optimization),
-  DCE-RPC partial restore, and none (plain call-by-copy);
+  wire: full map (NRMI), delta (the paper's future-work optimization,
+  answered with the dirty-slot reply), DCE-RPC partial restore, and none
+  (plain call-by-copy);
 * :mod:`repro.core.local` — local-execution baselines.
 """
 
@@ -24,7 +25,7 @@ from repro.core.restore_protocol import (
     RestorePolicy,
     NoRestorePolicy,
     FullRestorePolicy,
-    DeltaRestorePolicy,
+    DeltaSlotsRestorePolicy,
     DceRestorePolicy,
     policy_by_name,
 )
@@ -42,7 +43,7 @@ __all__ = [
     "RestorePolicy",
     "NoRestorePolicy",
     "FullRestorePolicy",
-    "DeltaRestorePolicy",
+    "DeltaSlotsRestorePolicy",
     "DceRestorePolicy",
     "policy_by_name",
 ]

@@ -62,7 +62,7 @@ def match_maps(originals: List[Any], modifieds: List[Any]) -> MatchResult:
 def match_sparse(
     originals: List[Any], dirty_indices: List[int], modifieds: List[Any]
 ) -> MatchResult:
-    """Match only the transmitted dirty positions of a delta-slots reply.
+    """Match only the transmitted dirty positions of a delta (dirty-slot) reply.
 
     ``dirty_indices`` are positions into the caller's full retained list;
     ``modifieds`` carries the server's versions of exactly those slots, in

@@ -12,11 +12,12 @@ handle table, linear map recorded on both endpoints):
 
 ``delta``
     The paper's future-work optimization (Section 5.2.4 #2): the server
-    snapshots each retained object's shallow state after unmarshalling and
-    ships back only the objects that changed, plus new objects. References
-    to *unchanged* old objects are encoded as back-references into the
-    caller's own linear map, so passing an object by copy-restore and not
-    changing it costs almost the same as passing it by copy.
+    digests each retained slot's shallow state while unmarshalling,
+    re-digests at reply time, and ships back only the dirty slots, plus
+    new objects. References to *clean* old objects are encoded as
+    back-references into the caller's own linear map, so passing an object
+    by copy-restore and not changing it costs almost the same as passing
+    it by copy.
 
 ``dce``
     The DCE RPC semantics baseline (Section 4.2): only objects still
@@ -38,7 +39,6 @@ from repro.core.matching import match_maps, match_sparse
 from repro.errors import RestoreError
 from repro.serde.digest import SlotDigestTable, digest_slots
 from repro.serde.accessors import FieldAccessor, OPTIMIZED_ACCESSOR
-from repro.serde.kinds import Kind, classify
 from repro.serde.reader import ObjectReader
 from repro.serde.registry import ClassRegistry, Externalizer
 from repro.serde.walker import reachable
@@ -48,8 +48,6 @@ from repro.util.buffers import BufferReader, BufferWriter
 from repro.util.identity import IdentityMap, IdentitySet
 
 _OLDREF_EXT = "nrmi.oldref"
-
-_PRIMITIVE_COMPARABLE = (type(None), bool, int, float, complex, str, bytes)
 
 
 @dataclass
@@ -64,11 +62,11 @@ class ServerRestoreContext:
     externalizers: Tuple = ()
     # Reachability stop predicate (remote stubs/pointers are leaves).
     stop: Optional[Any] = None
-    # Optional MetricsRegistry: delta-slots records dirty/clean counts and
+    # Optional MetricsRegistry: delta records dirty/clean counts and
     # an estimate of the reply bytes the elided slots saved.
     metrics: Optional[Any] = None
     # "Before" digests captured *during* argument deserialization (the
-    # fused decode+digest pass). When present, delta-slots' snapshot uses
+    # fused decode+digest pass). When present, delta's snapshot uses
     # them directly instead of re-walking the retained linear map.
     predigested: Optional[SlotDigestTable] = None
 
@@ -174,55 +172,6 @@ class FullRestorePolicy(RestorePolicy):
         return result, stats
 
 
-def _shallow_state(obj: Any, accessor: FieldAccessor) -> Tuple[Any, ...]:
-    """A shallow fingerprint of *obj* holding strong references."""
-    kind = classify(obj)
-    if kind is Kind.OBJECT:
-        return tuple(accessor.get_state(obj))
-    if kind is Kind.LIST:
-        return tuple(obj)
-    if kind is Kind.DICT:
-        return tuple(obj.items())
-    if kind is Kind.SET:
-        return tuple(obj)
-    if kind is Kind.BYTEARRAY:
-        return (bytes(obj),)
-    raise RestoreError(f"cannot snapshot object of kind {kind}")
-
-
-def _values_equal(old: Any, new: Any) -> bool:
-    """Identity for reference values, equality for primitives."""
-    if old is new:
-        return True
-    if type(old) is not type(new):
-        return False
-    if isinstance(old, _PRIMITIVE_COMPARABLE):
-        return old == new
-    return False
-
-
-def _state_changed(old_state: Tuple[Any, ...], new_state: Tuple[Any, ...]) -> bool:
-    if len(old_state) != len(new_state):
-        return True
-    for old_item, new_item in zip(old_state, new_state):
-        if _values_equal(old_item, new_item):
-            continue
-        if (
-            isinstance(old_item, tuple)
-            and isinstance(new_item, tuple)
-            and len(old_item) == 2
-            and len(new_item) == 2
-        ):
-            # (name, value) / (key, value) pairs are rebuilt on every
-            # snapshot, so compare their two slots instead of their identity.
-            if _values_equal(old_item[0], new_item[0]) and _values_equal(
-                old_item[1], new_item[1]
-            ):
-                continue
-        return True
-    return False
-
-
 def _encode_index(index: int) -> bytes:
     writer = BufferWriter()
     writer.write_uvarint(index)
@@ -236,95 +185,18 @@ def _decode_index(payload: bytes) -> int:
     return index
 
 
-class DeltaRestorePolicy(RestorePolicy):
-    """Ship only changed old objects; reference unchanged ones by position."""
-
-    name = "delta"
-
-    def snapshot(self, context: ServerRestoreContext) -> List[Tuple[Any, ...]]:
-        accessor = context.accessor
-        return [_shallow_state(obj, accessor) for obj in context.retained]
-
-    def build_response(
-        self, result: Any, context: ServerRestoreContext, snapshot: Any
-    ) -> bytes:
-        accessor = context.accessor
-        changed_indices: List[int] = []
-        unchanged: IdentityMap[int] = IdentityMap()
-        for index, (obj, before) in enumerate(zip(context.retained, snapshot)):
-            if _state_changed(before, _shallow_state(obj, accessor)):
-                changed_indices.append(index)
-            else:
-                unchanged[obj] = index
-        oldref = Externalizer(
-            name=_OLDREF_EXT,
-            claims=lambda obj: obj in unchanged,
-            replace=lambda obj: _encode_index(unchanged[obj]),
-            resolve=lambda payload: None,  # never used on the server
-        )
-        writer = ObjectWriter(
-            profile=context.profile,
-            registry=context.registry,
-            externalizers=(oldref,) + tuple(context.externalizers),
-        )
-        writer.write_root(result)
-        writer.write_root(changed_indices)
-        writer.write_root([context.retained[i] for i in changed_indices])
-        return writer.getvalue()
-
-    def parse_response(
-        self, payload: bytes, context: ClientRestoreContext
-    ) -> Tuple[Any, Optional[RestoreStats]]:
-        originals = context.originals
-        resolved = IdentitySet()
-
-        def resolve(raw: bytes) -> Any:
-            index = _decode_index(raw)
-            try:
-                obj = originals[index]
-            except IndexError:
-                raise RestoreError(f"delta payload references old object {index}") from None
-            resolved.add(obj)
-            return obj
-
-        oldref = Externalizer(
-            name=_OLDREF_EXT,
-            claims=lambda obj: False,  # never used on the caller
-            replace=lambda obj: b"",
-            resolve=resolve,
-        )
-        reader = ObjectReader(
-            payload,
-            profile=context.profile,
-            registry=context.registry,
-            externalizers=(oldref,) + tuple(context.externalizers),
-        )
-        result = reader.read_root()
-        changed_indices = reader.read_root()
-        changed_objects = reader.read_root()
-        reader.expect_end()
-        match = match_maps(
-            [originals[i] for i in changed_indices], changed_objects
-        )
-        result, stats = context.engine.restore(match, result, skip=resolved)
-        return result, stats
-
-
 class DeltaSlotsRestorePolicy(RestorePolicy):
     """Dirty-slot replies: digest every retained slot at deserialization
     time, re-digest at reply-encode time, and ship only the slots whose
     digests changed (plus all new objects reachable from them and the
     return value).
 
-    This is the negotiated evolution of :class:`DeltaRestorePolicy`: the
-    caller advertises :data:`repro.rmi.protocol.CAP_DELTA_SLOTS` in the
-    CALL flags byte, and the server answers with reply kind 4 — a compact
-    header of delta-coded dirty indices followed by one serde stream.
-    Non-advertising callers transparently get the legacy object-delta or
-    full-map reply instead.
+    The reply is a compact header of gap-coded dirty indices followed by
+    one serde stream; clean slots the stream references travel as
+    ``nrmi.oldref`` back-references into the caller's own linear map.
     """
 
-    name = "delta-slots"
+    name = "delta"
 
     def snapshot(self, context: ServerRestoreContext) -> SlotDigestTable:
         # The "before" picture every slot is compared against at reply
@@ -392,7 +264,7 @@ class DeltaSlotsRestorePolicy(RestorePolicy):
         total = header.read_uvarint()
         if total != len(originals):
             raise RestoreError(
-                f"delta-slots reply covers {total} slots, caller retained "
+                f"delta reply covers {total} slots, caller retained "
                 f"{len(originals)}"
             )
         dirty_count = header.read_uvarint()
@@ -412,7 +284,7 @@ class DeltaSlotsRestorePolicy(RestorePolicy):
                 obj = originals[index]
             except IndexError:
                 raise RestoreError(
-                    f"delta-slots payload references old object {index}"
+                    f"delta payload references old object {index}"
                 ) from None
             resolved.add(obj)
             return obj
@@ -433,7 +305,7 @@ class DeltaSlotsRestorePolicy(RestorePolicy):
         dirty_objects = reader.read_root()
         reader.expect_end()
         if not isinstance(dirty_objects, list):
-            raise RestoreError("delta-slots payload root is not a list")
+            raise RestoreError("delta payload root is not a list")
         match = match_sparse(originals, dirty_indices, dirty_objects)
         result, stats = context.engine.restore(match, result, skip=resolved)
         context.reply_info.update(
@@ -504,7 +376,6 @@ _POLICIES: Dict[str, Type[RestorePolicy]] = {
     for policy in (
         NoRestorePolicy,
         FullRestorePolicy,
-        DeltaRestorePolicy,
         DeltaSlotsRestorePolicy,
         DceRestorePolicy,
     )

@@ -11,9 +11,14 @@ RMI, JDK 1.4                 profile="modern",  policy="none"
 NRMI portable (1.3 or 1.4)   implementation="portable", policy="full"
 NRMI optimized (1.4 only)    implementation="optimized", policy="full",
                              profile="modern"
-NRMI + delta (future work)   policy="delta"
+NRMI + delta (future work)   policy="delta" (dirty-slot replies)
 DCE RPC semantics            policy="dce"
 ===========================  =========================================
+
+The modern profile always decodes through the exec-generated per-class
+functions (:mod:`repro.serde.codegen`); there is no knob to turn them
+off. Tests that need the interpreted reference build a profile with
+``SerializationProfile.use_codegen=False`` directly.
 """
 
 from __future__ import annotations
@@ -75,14 +80,6 @@ class NRMIConfig:
     # (entries, LRU-evicted). 0 disables caching — callers retrying
     # against such an endpoint fall back to at-least-once semantics.
     reply_cache_size: int = 256
-    # Server side of the dirty-slot reply negotiation: when False this
-    # endpoint never answers with the delta-slots frame (requested
-    # "delta" downgrades to a full-map reply) — a "full-only server".
-    delta_replies: bool = True
-    # Client side: advertise CAP_DELTA_SLOTS on outgoing calls. When
-    # False this endpoint decodes only the classic reply kinds, so
-    # servers fall back to legacy object-delta or full-map replies.
-    delta_reply_frames: bool = True
     # Use the pipelined TCP channel (multiple in-flight calls on one
     # connection, replies demuxed by correlation id) for tcp:// peers.
     # Servers accept both framings regardless of this knob.
@@ -94,12 +91,6 @@ class NRMIConfig:
     # to compact ids). Server side: acknowledge and decode such streams.
     # When False this endpoint behaves as a legacy peer on both sides.
     schema_cache: bool = True
-    # Route the modern profile through exec-generated per-class
-    # encode/decode functions (repro.serde.codegen). When False the
-    # endpoint uses the interpreted compiled-plan path only; the wire
-    # format is byte-identical either way, so the knob is purely a
-    # performance ablation / escape hatch.
-    serde_codegen: bool = True
     # Socket transport ``serve_remote()`` exposes: "tcp" (cross-host),
     # "uds" (Unix domain socket — single host, lower latency), or "shm"
     # (shared-memory rings — single host, no kernel in the data path).

@@ -41,7 +41,6 @@ from repro.errors import (
 )
 from repro.nrmi.annotations import effective_policy
 from repro.rmi.protocol import (
-    CAP_DELTA_SLOTS,
     CAP_SCHEMA_CACHE,
     REPLY_FLAG_SCHEMA_ACK,
     CallRequest,
@@ -75,7 +74,7 @@ class ReplyPolicyChooser:
     """Resolves the per-call ``auto`` restore policy from observed traffic.
 
     Tracks an exponentially-weighted dirty-slot ratio per remote address
-    (fed by delta-slots replies). Sparse mutators keep the ratio low and
+    (fed by delta replies). Sparse mutators keep the ratio low and
     ``auto`` keeps choosing ``delta``; once a peer's methods dirty most of
     the map, full replies are cheaper (no per-slot header, no digest
     passes) and the chooser switches to ``full`` — probing ``delta``
@@ -258,12 +257,6 @@ def _plan_call(
         )
     plan.policy_name = policy_name
     caps = 0
-    if getattr(endpoint.config, "delta_reply_frames", False):
-        # Advertise that our complete_call can decode the dirty-slot
-        # reply frame; the server only uses it for "delta" calls, so the
-        # bit is harmless on every other policy.
-        caps |= CAP_DELTA_SLOTS
-
     plan.schema_session = None
     plan.use_schema = False
     if getattr(endpoint.config, "schema_cache", True) and channel is not None:
@@ -444,7 +437,7 @@ def complete_call(endpoint: Any, prepared: PreparedCall, response: bytes) -> Any
         raise UnmarshalError(f"failed to unmarshal reply for {method!r}: {exc}") from exc
     endpoint.record_restore_stats(stats)
     info = context.reply_info
-    if info.get("kind") == "delta-slots":
+    if info.get("kind") == "delta":
         dirty, total = info.get("dirty", 0), info.get("total", 0)
         metrics = endpoint.metrics
         metrics.counter("delta.slot_replies").add()
@@ -670,13 +663,6 @@ def handle_call(
     """
     request = decode_call(reader, call_id=call_id, attempt=attempt)
     profile = profile_by_name(request.profile)
-    if profile.use_codegen and not getattr(endpoint.config, "serde_codegen", True):
-        # The codegen knob is per-endpoint, not per-wire: a server with
-        # codegen disabled still speaks identical bytes, it just runs the
-        # interpreted plan path for this call.
-        from dataclasses import replace as _dc_replace
-
-        profile = _dc_replace(profile, use_codegen=False)
     externalizers = endpoint.externalizers()
 
     # Method resolution and policy negotiation run BEFORE the arguments
@@ -699,24 +685,13 @@ def handle_call(
         )
 
     policy_name = effective_policy(request.policy, target)
-    if policy_name == "delta":
-        if not getattr(endpoint.config, "delta_replies", True):
-            # Full-only server: it will not build any delta reply, so the
-            # requested "delta" downgrades to a full-map reply. Legal
-            # because the reply leads with the policy actually applied.
-            policy_name = "full"
-        elif request.caps & CAP_DELTA_SLOTS:
-            # Negotiated upgrade: the caller can decode dirty-slot frames,
-            # so answer with reply kind 4 instead of the legacy object
-            # delta. Non-advertising (older) callers keep getting kind 2.
-            policy_name = "delta-slots"
     policy = policy_by_name(policy_name)
 
     # Dirty-slot calls digest every slot as it is registered in the
     # linear map — the paper's "keep a reference to the map" walk and the
     # delta snapshot collapse into the decode traversal, so the retained
     # map is never re-walked before the method runs.
-    fuse_digest = policy_name == "delta-slots" and not request.ship_map
+    fuse_digest = policy_name == "delta" and not request.ship_map
     args_reader = ObjectReader(
         request.args_payload,
         profile=profile,

@@ -47,7 +47,7 @@ from repro.rmi.remote_ref import (
     is_opaque_remote,
 )
 from repro.serde.accessors import accessor_by_name
-from repro.serde.profiles import SerializationProfile, profile_by_name
+from repro.serde.profiles import profile_by_name
 from repro.serde.reader import ObjectReader
 from repro.serde.registry import Externalizer
 from repro.serde.writer import ObjectWriter
@@ -64,21 +64,6 @@ from repro.util.metrics import MetricsRegistry
 from repro.errors import RemoteInvocationError
 
 
-def resolve_profile(config: NRMIConfig) -> SerializationProfile:
-    """The serialization profile *config* selects, codegen knob applied.
-
-    ``serde_codegen=False`` strips the exec-generated fast path off the
-    modern profile, leaving the interpreted compiled-plan path (the
-    legacy profile never had codegen, so the knob is a no-op there).
-    """
-    import dataclasses
-
-    profile = profile_by_name(config.profile)
-    if not config.serde_codegen and profile.use_codegen:
-        profile = dataclasses.replace(profile, use_codegen=False)
-    return profile
-
-
 class Endpoint:
     """One middleware node: exports objects, makes and serves remote calls."""
 
@@ -90,7 +75,7 @@ class Endpoint:
     ) -> None:
         self.config = config if config is not None else NRMIConfig()
         self.resolver = resolver
-        self.profile = resolve_profile(self.config)
+        self.profile = profile_by_name(self.config.profile)
         self.accessor = accessor_by_name(self.config.implementation)
         self.engine = RestoreEngine(accessor=self.accessor, opaque=is_opaque_remote)
         self.exports = ExportTable(

@@ -65,10 +65,9 @@ _MODE_TO_ID = {
 }
 _ID_TO_MODE = {v: k for k, v in _MODE_TO_ID.items()}
 
-# "delta-slots" (id 4) is a *reply* kind only: servers pick it when the
-# caller advertised CAP_DELTA_SLOTS and the effective policy is "delta";
-# callers never request it directly.
-_POLICY_TO_ID = {"none": 0, "full": 1, "delta": 2, "dce": 3, "delta-slots": 4}
+# One id per reply kind: "delta" (2) is always answered with the
+# dirty-slot reply (repro.core.restore_protocol.DeltaSlotsRestorePolicy).
+_POLICY_TO_ID = {"none": 0, "full": 1, "delta": 2, "dce": 3}
 _ID_TO_POLICY = {v: k for k, v in _POLICY_TO_ID.items()}
 
 # ------------------------------------------------------- capability flags
@@ -76,11 +75,7 @@ _ID_TO_POLICY = {v: k for k, v in _POLICY_TO_ID.items()}
 # The CALL frame's former ship_map byte is a flags byte: bit 0 keeps the
 # ship_map meaning (old encoders only ever wrote 0 or 1), the remaining
 # bits advertise caller capabilities. Decoders MUST ignore flag bits they
-# do not know — a peer that never advertises (flags & ~1 == 0) simply gets
-# the classic full-map / legacy-delta replies.
-
-#: The caller can decode the dirty-slot delta reply frame (kind 4).
-CAP_DELTA_SLOTS = 0x02
+# do not know. Bit 0x02 is unassigned.
 
 #: The caller holds a per-connection schema session (repro.serde.schema)
 #: and may flag argument streams with STREAM_FLAG_SCHEMA_CACHE once the
@@ -92,7 +87,7 @@ _FLAG_SHIP_MAP = 0x01
 
 #: High bit of the applied-policy byte leading an OK CALL reply payload:
 #: the server accepted CAP_SCHEMA_CACHE for this connection. Policy wire
-#: ids are tiny (0-4), so the bit never collides; legacy clients that
+#: ids are tiny (0-3), so the bit never collides; legacy clients that
 #: never advertise the capability never see it set.
 REPLY_FLAG_SCHEMA_ACK = 0x80
 

@@ -22,7 +22,10 @@ function specialized to the class's layout —
   interpreted machinery mid-object, preserving pre-order byte-for-byte:
   generated encode splices its remaining work under whatever the callee
   left on the writer's work stack, generated decode parks a fully-formed
-  :class:`repro.serde.reader._Frame` for the frame machine to finish.
+  :class:`repro.serde.reader._Frame` per in-flight object and returns
+  ``BAIL``. The reader's generic frame machine then finishes those
+  objects field by field, and hands every nested plan-backed object it
+  meets back to that class's generated decoder.
 
 The interpreted plan path remains both the fallback (any compile error
 degrades to it, counted on ``serde.codegen.fallbacks``) and the
@@ -77,7 +80,7 @@ _F64 = struct.Struct(">d")
 
 # Wire tag bytes interpolated into generated source as literals. Two
 # mirror sets on purpose: ``_TAG_*`` (writer-side, as in serde/plans.py)
-# and ``_T_*`` (reader-side, as in serde/reader.py) — both are
+# and ``_T_*`` (reader-side, for the generated decoders) — both are
 # cross-checked against serde/tags.py by the NRMI032 lint rule.
 _TAG_NONE = 0x00
 _TAG_TRUE = 0x01
@@ -833,15 +836,13 @@ def _build_decode_source(
     add("")
     # Bail helper: a frame in exactly the state the interpreted machinery
     # expects mid-object (current field's name parked, count not yet
-    # decremented), so _read_value/_drain_object_fields finish the object.
+    # decremented), so the reader's frame machine finishes the object.
     add("def _bail_frame(reader, shell, handle_slot, slot, name, remaining,")
     add("                wire_version):")
     add("    frame = _Frame(_F_OBJECT, remaining)")
     add("    frame.shell = shell")
     add("    frame.handle_slot = handle_slot")
     add("    frame.pending_name = name")
-    if use_dict:
-        add("    frame.field_dict = shell.__dict__")
     if needs_resolve:
         add("    frame.needs_resolve = True")
     else:

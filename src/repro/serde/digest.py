@@ -49,7 +49,7 @@ _MAX_IMMUTABLE_DEPTH = 16
 
 #: Number of full linear-map walks :func:`digest_slots` has performed in
 #: this process. Test observability for the fused decode+digest pass: a
-#: delta-slots call whose "before" table was captured during decoding
+#: delta call whose "before" table was captured during decoding
 #: performs exactly one walk (reply time) instead of two.
 walk_count = 0
 
@@ -171,7 +171,7 @@ def _encode_slot(writer: BufferWriter, obj: Any, accessor: FieldAccessor, pins: 
 def digest_slots(slots: List[Any], accessor: FieldAccessor) -> SlotDigestTable:
     """Digest every slot of a retained list.
 
-    Historically ran twice per delta-slots call: once right after
+    Historically ran twice per delta call: once right after
     deserialization (the "before" picture) and once at reply-encode time.
     With the fused decode+digest pass the "before" table is captured
     during deserialization itself, leaving only the reply-time walk here.

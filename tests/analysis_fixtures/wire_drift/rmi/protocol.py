@@ -27,6 +27,6 @@ _MODE_TO_ID = {"by_value": 0, "by_copy": 1, "by_ref": 2}
 
 _FLAG_SHIP_MAP = 0x01
 
-CAP_DELTA_SLOTS = 0x01  # expect: NRMI032
+CAP_SCHEMA_CACHE = 0x01  # expect: NRMI032
 
 CAP_STREAMING = 0x06  # expect: NRMI032

@@ -8,8 +8,9 @@ Layers:
   that codegen actually engaged under the modern profile and beat the
   interpreted-plan baseline measured in the same run;
 * re-measure the full-size serde micro encode AND decode in-process and
-  hold both to the recorded ``BENCH_pr6.json`` within the runner's
-  regression budget;
+  hold them to same-run ratios: codegen vs the codegen-off reference,
+  compiled plans vs none, modern vs legacy — and prove that gate fails
+  when each of those fast paths is injected away;
 * hold the plan-driven decode fast path to its defining property: modern
   decode stays within 1.5x of modern encode;
 * replay scenario III with a 1%-mutation mutator so the sparse
@@ -17,11 +18,13 @@ Layers:
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.bench import regress
+from repro.serde.profiles import LEGACY_PROFILE, MODERN_PROFILE
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -93,39 +96,58 @@ def test_regress_quick_runs_clean(tmp_path):
     assert sparse["delta"]["reply_bytes"] < sparse["full"]["reply_bytes"]
 
 
-# The recorded numbers come from a quiet dedicated run; re-measuring in
-# the middle of a loaded pytest run needs headroom beyond the runner's
-# 25% gate. 75% still catches every structural regression this test
-# exists for (losing the compiled-plan fast path alone is ~8x).
-IN_SUITE_LIMIT_PCT = 75.0
+def _serde_ratio_failures():
+    """Full-size serde micro, held to the same-run ratio gate."""
+    serde = regress.run_serde_micro(
+        regress.FULL_SIZE, SMOKE_WINDOWS, SMOKE_WINDOW_SECONDS
+    )
+    return regress.check_serde_ratios(serde)
 
 
 @pytest.mark.bench_smoke
-def test_serde_micro_timings_within_recorded_budget():
-    recorded = regress._load_previous(REPO_ROOT / "BENCH_pr6.json")
+def test_serde_micro_same_run_ratios():
+    """Codegen, compiled plans, and the modern profile keep their lead.
+
+    Every bound is a ratio of two rows measured in the same run, so the
+    gate holds on any hardware and under suite load.
+    """
     failures = []
     for _ in range(2):  # one re-measure before failing, for noise spikes
-        serde = regress.run_serde_micro(
-            regress.FULL_SIZE, SMOKE_WINDOWS, SMOKE_WINDOW_SECONDS
-        )
-        failures = regress._check_gate(
-            recorded, serde, regress.FULL_SIZE, limit_pct=IN_SUITE_LIMIT_PCT
-        )
+        failures = _serde_ratio_failures()
         if not failures:
             break
     assert not failures, "; ".join(failures)
 
 
 @pytest.mark.bench_smoke
+@pytest.mark.parametrize(
+    "broken_modern, check",
+    [
+        (replace(MODERN_PROFILE, use_codegen=False), "codegen"),
+        (replace(MODERN_PROFILE, use_compiled_plans=False), "compiled plans"),
+        (LEGACY_PROFILE, "modern vs legacy"),
+    ],
+    ids=["codegen-lost", "compiled-plans-lost", "modern-no-faster-than-legacy"],
+)
+def test_serde_ratio_gate_fails_on_injected_regression(
+    monkeypatch, broken_modern, check
+):
+    """Measuring a broken profile as "modern" must trip the named check."""
+    monkeypatch.setitem(regress._PROFILES, "modern", broken_modern)
+    failures = _serde_ratio_failures()
+    assert any(failure.startswith(check + ":") for failure in failures), failures
+
+
+@pytest.mark.bench_smoke
 def test_modern_decode_fast_path_within_encode_budget():
     """Modern decode must stay within 1.5x of modern encode (full size).
 
-    Before the plan-driven decode fast path, decode ran ~3.5x slower than
-    encode on the scenario III micro (the per-object frame machine); the
-    direct subtree loop brought it under encode. A decode/encode ratio
-    above 1.5 means the fast path stopped engaging (e.g. plans no longer
-    report dict-safe stores) — a structural regression, not noise, since
-    both sides of the ratio are measured in the same process.
+    Through the generic frame machine alone, decode runs ~3.5x slower than
+    encode on the scenario III micro; the generated per-class decoders
+    bring it under encode. A decode/encode ratio above 1.5 means they
+    stopped engaging (e.g. every object bails to the frame machine) — a
+    structural regression, not noise, since both sides of the ratio are
+    measured in the same process.
     """
     for _ in range(2):  # one re-measure before failing, for noise spikes
         serde = regress.run_serde_micro(

@@ -5,7 +5,7 @@ import pytest
 from repro.core.restore_protocol import (
     ClientRestoreContext,
     DceRestorePolicy,
-    DeltaRestorePolicy,
+    DeltaSlotsRestorePolicy,
     FullRestorePolicy,
     NoRestorePolicy,
     ServerRestoreContext,
@@ -113,7 +113,7 @@ class TestDeltaRestore:
             node.next.data = 20
 
         root_full, _r, _s, _b = simulate_call(FullRestorePolicy(), build, mutate)
-        root_delta, _r, _s, _b = simulate_call(DeltaRestorePolicy(), build, mutate)
+        root_delta, _r, _s, _b = simulate_call(DeltaSlotsRestorePolicy(), build, mutate)
         assert heap_fingerprint([root_full]) == heap_fingerprint([root_delta])
 
     def test_no_change_ships_almost_nothing(self):
@@ -124,7 +124,7 @@ class TestDeltaRestore:
             FullRestorePolicy(), build, mutate=lambda box: None
         )
         _root, _result, _stats, delta_bytes = simulate_call(
-            DeltaRestorePolicy(), build, mutate=lambda box: None
+            DeltaSlotsRestorePolicy(), build, mutate=lambda box: None
         )
         assert delta_bytes < full_bytes / 5
 
@@ -136,7 +136,7 @@ class TestDeltaRestore:
             box.payload[3].data = 999
 
         root, _result, stats, _bytes = simulate_call(
-            DeltaRestorePolicy(), build, mutate
+            DeltaSlotsRestorePolicy(), build, mutate
         )
         assert root.payload[3].data == 999
         assert [n.data for n in root.payload[:3]] == [0, 1, 2]
@@ -151,7 +151,7 @@ class TestDeltaRestore:
             box.extra = Node("new", next=box.payload)
 
         root, _result, _stats, _bytes = simulate_call(
-            DeltaRestorePolicy(), build, mutate
+            DeltaSlotsRestorePolicy(), build, mutate
         )
         assert root.extra.data == "new"
         assert root.extra.next is root.payload  # resolved to the original
@@ -164,7 +164,7 @@ class TestDeltaRestore:
             box.payload.append(4)
 
         root, _result, _stats, _bytes = simulate_call(
-            DeltaRestorePolicy(), build, mutate
+            DeltaSlotsRestorePolicy(), build, mutate
         )
         assert root.payload == [1, 2, 3, 4]
 
@@ -229,7 +229,7 @@ class TestPayloadValidation:
         def mutate(box):
             box.marker = Node("new", next=box.payload)
 
-        policy = DeltaRestorePolicy()
+        policy = DeltaSlotsRestorePolicy()
         client_root = build()
         writer = ObjectWriter()
         writer.write_root(client_root)

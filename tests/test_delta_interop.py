@@ -1,11 +1,8 @@
-"""Delta/full interop: the capability negotiation across transports.
+"""Delta copy-restore across every transport.
 
-A delta-requesting client that advertises ``CAP_DELTA_SLOTS`` gets the
-dirty-slot reply frame from a capable server; either side lacking the
-capability transparently falls back to a classic reply (full map from a
-"full-only" server, legacy object delta to a non-advertising client).
-Every combination, over every transport, must restore the client heap
-byte-identically to running the same mutation locally.
+A ``delta`` call is always answered with the dirty-slot reply frame.
+Over every transport it must restore the client heap byte-identically to
+running the same mutation locally.
 """
 
 import pytest
@@ -51,11 +48,9 @@ def local_fingerprint():
 class InteropWorld:
     """One client/server pair over the requested transport."""
 
-    def __init__(self, transport, server_config=None, client_config=None):
+    def __init__(self, transport, client_config=None):
         self.resolver = ChannelResolver()
-        self.server = Endpoint(
-            name="interop-server", config=server_config, resolver=self.resolver
-        )
+        self.server = Endpoint(name="interop-server", resolver=self.resolver)
         self.client = Endpoint(
             name="interop-client", config=client_config, resolver=self.resolver
         )
@@ -90,7 +85,7 @@ def transport(request):
     return request.param
 
 
-def test_both_capable_speak_dirty_slot_frames(transport):
+def test_delta_equals_local(transport):
     world = InteropWorld(transport, client_config=NRMIConfig(policy="delta"))
     try:
         assert world.scramble_fingerprint() == local_fingerprint()
@@ -102,48 +97,9 @@ def test_both_capable_speak_dirty_slot_frames(transport):
         world.close()
 
 
-def test_delta_client_against_full_only_server(transport):
-    world = InteropWorld(
-        transport,
-        server_config=NRMIConfig(delta_replies=False),
-        client_config=NRMIConfig(policy="delta"),
-    )
-    try:
-        assert world.scramble_fingerprint() == local_fingerprint()
-        # The server downgraded to a full-map reply; no delta frames flowed.
-        assert world.client.metrics.counter("delta.slot_replies").value == 0
-        assert world.server.metrics.counter("delta.slots_dirty").value == 0
-    finally:
-        world.close()
-
-
-def test_non_advertising_client_against_delta_server(transport):
-    world = InteropWorld(
-        transport,
-        client_config=NRMIConfig(policy="delta", delta_reply_frames=False),
-    )
-    try:
-        assert world.scramble_fingerprint() == local_fingerprint()
-        # Without the capability bit the server answers with the legacy
-        # object-delta reply, never the dirty-slot frame.
-        assert world.client.metrics.counter("delta.slot_replies").value == 0
-        assert world.server.metrics.counter("delta.slots_dirty").value == 0
-    finally:
-        world.close()
-
-
-def test_full_policy_client_unaffected_by_capability(transport):
-    world = InteropWorld(transport, client_config=NRMIConfig(policy="full"))
-    try:
-        assert world.scramble_fingerprint() == local_fingerprint()
-        assert world.client.metrics.counter("delta.slot_replies").value == 0
-    finally:
-        world.close()
-
-
 def test_dirty_slot_reply_is_smaller_than_full_map():
-    """Same mutation, same transport: the negotiated delta reply moves
-    fewer bytes than the full-map reply it replaces."""
+    """Same mutation, same transport: the dirty-slot delta reply moves
+    fewer bytes than the full-map reply."""
     sizes = {}
     for policy in ("full", "delta"):
         world = InteropWorld("inproc", client_config=NRMIConfig(policy=policy))

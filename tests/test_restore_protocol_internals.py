@@ -1,126 +1,8 @@
-"""Unit tests for restore-protocol internals: change detection, snapshots."""
+"""Unit tests for restore-protocol internals: the oldref index coding."""
 
 import pytest
 
-from repro.core.restore_protocol import (
-    _decode_index,
-    _encode_index,
-    _shallow_state,
-    _state_changed,
-    _values_equal,
-)
-from repro.errors import RestoreError
-from repro.serde.accessors import OPTIMIZED_ACCESSOR
-
-from tests.model_helpers import Box, Node
-
-
-class TestValuesEqual:
-    def test_identity_wins(self):
-        node = Node(1)
-        assert _values_equal(node, node)
-
-    def test_distinct_objects_unequal_even_if_same_content(self):
-        assert not _values_equal(Node(1), Node(1))
-
-    def test_primitives_by_value(self):
-        assert _values_equal(5, 5)
-        assert _values_equal("abc", "abc")
-        assert _values_equal(b"x", b"x")
-        assert not _values_equal(5, 6)
-
-    def test_type_mismatch(self):
-        assert not _values_equal(1, 1.0)
-        assert not _values_equal("1", 1)
-
-    def test_bool_vs_int_distinct(self):
-        assert not _values_equal(True, 1)
-        assert not _values_equal(0, False)
-
-
-class TestShallowState:
-    def test_object_state(self):
-        node = Node(7)
-        state = _shallow_state(node, OPTIMIZED_ACCESSOR)
-        assert dict(state) == {"data": 7, "next": None}
-
-    def test_list_state_is_shallow(self):
-        inner = Node(1)
-        state = _shallow_state([inner, 2], OPTIMIZED_ACCESSOR)
-        assert state[0] is inner
-        assert state[1] == 2
-
-    def test_dict_state(self):
-        state = _shallow_state({"k": "v"}, OPTIMIZED_ACCESSOR)
-        assert state == (("k", "v"),)
-
-    def test_set_state(self):
-        assert set(_shallow_state({1, 2}, OPTIMIZED_ACCESSOR)) == {1, 2}
-
-    def test_bytearray_state(self):
-        assert _shallow_state(bytearray(b"ab"), OPTIMIZED_ACCESSOR) == (b"ab",)
-
-    def test_unsupported_kind_raises(self):
-        with pytest.raises(RestoreError):
-            _shallow_state((1, 2), OPTIMIZED_ACCESSOR)  # tuples never snapshot
-
-
-class TestStateChanged:
-    def snap(self, obj):
-        return _shallow_state(obj, OPTIMIZED_ACCESSOR)
-
-    def test_no_change(self):
-        node = Node(1)
-        before = self.snap(node)
-        assert not _state_changed(before, self.snap(node))
-
-    def test_primitive_field_change(self):
-        node = Node(1)
-        before = self.snap(node)
-        node.data = 2
-        assert _state_changed(before, self.snap(node))
-
-    def test_reference_field_change(self):
-        node = Node(1)
-        before = self.snap(node)
-        node.next = Node(2)
-        assert _state_changed(before, self.snap(node))
-
-    def test_reference_identity_stable_means_unchanged(self):
-        child = Node("c")
-        node = Node(1, next=child)
-        before = self.snap(node)
-        child.data = "mutated-child"  # child changed, node did NOT
-        assert not _state_changed(before, self.snap(node))
-
-    def test_list_append_detected(self):
-        items = [1]
-        before = self.snap(items)
-        items.append(2)
-        assert _state_changed(before, self.snap(items))
-
-    def test_list_item_replacement_detected(self):
-        items = [Node(1)]
-        before = self.snap(items)
-        items[0] = Node(1)  # equal content, new identity
-        assert _state_changed(before, self.snap(items))
-
-    def test_dict_value_change_detected(self):
-        mapping = {"k": 1}
-        before = self.snap(mapping)
-        mapping["k"] = 2
-        assert _state_changed(before, self.snap(mapping))
-
-    def test_dict_unchanged_pairs_ok(self):
-        mapping = {"k": Node(1)}
-        before = self.snap(mapping)
-        assert not _state_changed(before, self.snap(mapping))
-
-    def test_field_added(self):
-        box = Box(1)
-        before = self.snap(box)
-        box.extra = True
-        assert _state_changed(before, self.snap(box))
+from repro.core.restore_protocol import _decode_index, _encode_index
 
 
 class TestIndexCoding:

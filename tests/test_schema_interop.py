@@ -276,7 +276,7 @@ def test_version_bump_renegotiates_mid_connection():
 
 def test_fused_delta_slots_call_walks_linear_map_once():
     """The decode-time capture replaces the post-decode snapshot walk:
-    a warm delta-slots call digests the linear map exactly once (at reply
+    a warm delta call digests the linear map exactly once (at reply
     time), not twice."""
     world = SchemaWorld("inproc", client_config=NRMIConfig(policy="delta"))
     try:
@@ -284,7 +284,7 @@ def test_fused_delta_slots_call_walks_linear_map_once():
         before = digest.walk_count
         assert world.scramble_fingerprint() == local_fingerprint()
         assert digest.walk_count - before == 1
-        # It really was the delta-slots path both times.
+        # It really was the dirty-slot reply both times.
         assert world.client.metrics.counter("delta.slot_replies").value == 2
     finally:
         world.close()

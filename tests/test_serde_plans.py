@@ -28,7 +28,7 @@ from repro.serde.registry import ClassRegistry, global_registry
 from repro.serde.schema import global_schema_table
 from repro.serde.writer import ObjectWriter
 
-from tests.model_helpers import Node, Pair
+from tests.model_helpers import Node, Pair, heap_fingerprint
 
 MODERN_NO_PLANS = replace(
     MODERN_PROFILE, name="modern-noplans", use_compiled_plans=False
@@ -53,11 +53,30 @@ class PlainRecord(Restorable):
         self.x = x
 
 
+class Leaf(Restorable):
+    def __init__(self, v=0):
+        self.v = v
+
+
+class Holder(Restorable):
+    """A list field first (generated decoders bail on lists), then
+    scalars, then two nested plan-backed objects of another class."""
+
+    def __init__(self, items=None, a=0, b="", left=None, right=None):
+        self.items = items
+        self.a = a
+        self.b = b
+        self.left = left
+        self.right = right
+
+
 @pytest.fixture
 def registry():
     reg = ClassRegistry()
     reg.register(Versioned, name="versioned")
     reg.register(PlainRecord, name="plain-record")
+    reg.register(Leaf, name="leaf")
+    reg.register(Holder, name="holder")
     return reg
 
 
@@ -238,6 +257,43 @@ class TestCodegenPlanCache:
         oracle = ObjectWriter(profile=MODERN_NO_CODEGEN, registry=registry)
         oracle.write_root(value)
         assert broken == oracle.getvalue()
+
+
+class TestBailHandover:
+    """A generated decoder that bails hands the rest of its object to the
+    frame machine, and the frame machine hands each nested plan-backed
+    object straight back to that class's generated decoder."""
+
+    def test_nested_objects_after_a_bail_use_their_decoders(
+        self, registry, monkeypatch
+    ):
+        value = Holder(
+            items=[1, [2, 3]], a=7, b="after-bail", left=Leaf(1), right=Leaf(2)
+        )
+        writer = ObjectWriter(profile=MODERN_PROFILE, registry=registry)
+        writer.write_root(value)
+        payload = writer.getvalue()
+
+        calls = {"holder": 0, "leaf": 0}
+        for cls, key in ((Holder, "holder"), (Leaf, "leaf")):
+            plan = registry.codegen_decode_plan_for(cls)
+            assert plan.decode_fn is not None
+
+            def counted(reader, stack, wire_version, _fn=plan.decode_fn, _key=key):
+                calls[_key] += 1
+                return _fn(reader, stack, wire_version)
+
+            monkeypatch.setattr(plan, "decode_fn", counted)
+
+        decoded = ObjectReader(
+            payload, profile=MODERN_PROFILE, registry=registry
+        ).read_root()
+        assert calls == {"holder": 1, "leaf": 2}
+        reference = ObjectReader(
+            payload, profile=MODERN_NO_CODEGEN, registry=registry
+        ).read_root()
+        assert heap_fingerprint([decoded]) == heap_fingerprint([reference])
+        assert heap_fingerprint([decoded]) == heap_fingerprint([value])
 
 
 class TestByteIdentity:
