@@ -1,20 +1,22 @@
 """Whole-program thread-role model for the concurrency rules.
 
-The staged runtime is a small set of *thread roles*: one selector-driven
-net thread, a pool of worker threads, a pipelined reader/demux thread,
-the external caller threads that enter through a class's public surface,
-and whoever runs ``stop()``/``close()`` at the end. The NRMI04x family
-asks a question the per-method rules cannot: *which roles can execute
-this statement, and what locks are they guaranteed to hold when they
-do?*
+The runtime is a small set of *thread roles*: the stream server's
+per-connection reader threads and its worker pool, the pipelined
+channel's reader/demux thread, a selector-driven net thread where a
+class runs one, the external caller threads that enter through a class's
+public surface, and whoever runs ``stop()``/``close()`` at the end. The
+NRMI04x family asks a question the per-method rules cannot: *which
+roles can execute this statement, and what locks are they guaranteed to
+hold when they do?*
 
 This module answers it syntactically. :func:`concurrency_model` parses
 nothing new — it reuses the :class:`~repro.analysis.model.ProjectModel`
 built once per lint run — and derives, per class:
 
 * an **effective method table** resolved across modules (a subclass in
-  ``transport/shm.py`` inherits its net loop from
-  ``transport/netloop.py`` and must be analysed with it);
+  ``transport/shm.py`` inherits its reader and worker threads from
+  ``transport/stream.py`` and must be analysed with them; the threads a
+  shadowed base ``__init__`` spawns count as the subclass's own);
 * **role entry points**: methods calling ``self.<selector>.select(...)``
   (net-loop), targets of ``Thread(target=self.x)`` / ``pool.submit(
   self.x)`` spawn sites (worker, or reader-demux when the target name
@@ -34,9 +36,9 @@ any thread is spawned or any reference escapes, so construction-time
 accesses carry no role (NRMI045 separately checks stores *after* a
 ``start()`` inside ``__init__``). Methods reachable only from
 construction are likewise role-free. The model is per-class: state
-handed across objects (``self._jobs.spin_hot`` written by another
-class's net loop) is out of scope and documented as an
-under-approximation in ``docs/static_analysis.md``.
+handed across objects (``connection.pending`` on a per-connection
+object shared by the server's threads) is out of scope and documented
+as an under-approximation in ``docs/static_analysis.md``.
 """
 
 from __future__ import annotations
@@ -526,10 +528,15 @@ def _effective_methods(
     module: ModuleModel,
     cls: ClassModel,
     index: Dict[str, List[Tuple[ModuleModel, ClassModel]]],
-) -> Tuple[Dict[str, Tuple[ModuleModel, FunctionModel, bool]], Set[str]]:
-    """MRO-flattened method table and the union of lock attrs."""
+) -> Tuple[
+    Dict[str, Tuple[ModuleModel, FunctionModel, bool]], Set[str], List[FunctionModel]
+]:
+    """MRO-flattened method table, the union of lock attrs, and the base
+    ``__init__``s the table shadows (``super().__init__`` still runs
+    them, so the threads they spawn are this class's threads too)."""
     methods: Dict[str, Tuple[ModuleModel, FunctionModel, bool]] = {}
     locks: Set[str] = set()
+    shadowed_inits: List[FunctionModel] = []
     seen: Set[int] = set()
     queue: deque = deque([(module, cls, True)])
     while queue:
@@ -541,11 +548,13 @@ def _effective_methods(
         for name, fn in current.methods.items():
             if name not in methods:  # subclass definition wins
                 methods[name] = (mod, fn, own)
+            elif name == "__init__":
+                shadowed_inits.append(fn)
         for base in current.base_names:
             resolved = _resolve_base(mod, last_component(base), index)
             if resolved is not None:
                 queue.append((resolved[0], resolved[1], False))
-    return methods, locks
+    return methods, locks, shadowed_inits
 
 
 def _build_class(
@@ -554,11 +563,15 @@ def _build_class(
     index: Dict[str, List[Tuple[ModuleModel, ClassModel]]],
 ) -> ClassConcurrency:
     cc = ClassConcurrency(module=module, cls=cls)
-    cc.methods, cc.lock_attrs = _effective_methods(module, cls, index)
+    cc.methods, cc.lock_attrs, shadowed_inits = _effective_methods(
+        module, cls, index
+    )
     names = set(cc.methods)
     for name, (_mod, fn, _own) in cc.methods.items():
         cc.scans[name] = scan_method(fn.node, cc.lock_attrs, names)
         cc.spawns.extend(cc.scans[name].spawns)
+    for init in shadowed_inits:
+        cc.spawns.extend(scan_method(init.node, cc.lock_attrs, names).spawns)
     cc.atomic_fields = _atomic_fields_of(cc)
     _infer_roles(cc)
     return cc

@@ -92,7 +92,7 @@ def _common_locks(accesses: List[ResolvedAccess]) -> FrozenSet[str]:
 def cross_role_unguarded_field(project: ProjectModel) -> Iterable[Finding]:
     """A field written by one thread role and read or written by another,
     with no lock common to every access, is the shape of every torn-state
-    bug the staged core guards against. Locksets are interprocedural: a
+    bug the server core guards against. Locksets are interprocedural: a
     helper only ever called under ``with self._lock:`` counts as guarded.
     ``__init__`` is exempt (construction happens-before sharing);
     read-modify-write sites are NRMI042's to report."""

@@ -17,15 +17,15 @@ These lint the middleware's *own* threaded and protocol code:
   from a class's ``selector.select()`` loop must stay non-blocking
   (no handler execution, no ``time.sleep``, no blocking frame reads,
   no blocking queue waits) — one blocked callback stalls every
-  connection the staged server owns.
+  connection that selector loop owns.
 * **NRMI035** — blocking call on a ring spin/poll path: any method
   reachable from a loop that re-probes a shared-memory ring
-  (``try_read_into``/``try_write``/``readable``/``poll_ready``/...)
+  (``try_read_into``/``try_write``/``readable``/``writable``)
   must stay non-blocking — a sleep or blocking wait inside a
   microsecond-scale spin turns the shm transport's latency win into a
   scheduler round trip per call.
 * **NRMI036** — borrowed-view escape: a ``memoryview`` handed out by a
-  ring borrow/reservation (``reserve``/``peek_record``/``recv_borrow``/
+  ring borrow/reservation (``reserve``/``peek_record``/
   ``recv_frame_borrow``) is only valid until the matching
   ``consume``/``consume_borrow``/``commit``/``abort``; storing it on
   ``self``, returning it to a caller, or touching it after the release
@@ -534,9 +534,9 @@ def _blocking_call_reason(node: ast.Call) -> Optional[str]:
 
 @rule("NRMI034", "blocking-call-in-net-loop", FAMILY_RUNTIME, Severity.ERROR)
 def blocking_call_in_net_loop(module: ModuleModel) -> Iterable[Finding]:
-    """One net thread owns every socket of the staged server: a blocking
-    call anywhere in its ``select()`` loop's reachable call graph freezes
-    all connections at once. Flags dispatcher execution, sleeps, blocking
+    """One net thread owns every socket of a selector-driven server: a
+    blocking call anywhere in its ``select()`` loop's reachable call graph
+    freezes all connections at once. Flags dispatcher execution, sleeps, blocking
     frame reads, and blocking queue waits in any method reachable (via
     ``self.<method>()`` calls) from a method that calls
     ``self.<selector>.select(...)``. Worker-thread methods are naturally
@@ -588,9 +588,6 @@ _RING_POLL_METHODS = frozenset(
         "try_write",
         "readable",
         "writable",
-        "poll_ready",
-        "try_recv",
-        "try_send",
     }
 )
 
@@ -614,12 +611,12 @@ def _loops_on_ring_poll(method_node: ast.AST) -> bool:
 def blocking_call_in_ring_spin(module: ModuleModel) -> Iterable[Finding]:
     """The shm transport's latency rests on its spin/poll paths staying
     syscall-lean: a loop re-probing a ring (``try_read_into`` /
-    ``try_write`` / ``readable`` / ``poll_ready`` ...) is a wait measured
+    ``try_write`` / ``readable`` / ``writable``) is a wait measured
     in microseconds, and a blocking call anywhere in its reachable call
     graph — a sleep, a blocking frame read, a blocking queue wait —
     turns every round trip into a scheduler round trip. Parking on a
-    selector after declaring intent (``select.select`` on the doorbell)
-    is the sanctioned slow path and is not flagged; ``sched_yield``-style
+    selector after declaring intent (``poll`` on the doorbell) is the
+    sanctioned slow path and is not flagged; ``sched_yield``-style
     GIL donation is invisible to this rule by construction."""
     for cls in module.classes:
         known = set(cls.methods)
@@ -650,7 +647,7 @@ def blocking_call_in_ring_spin(module: ModuleModel) -> Iterable[Finding]:
                         f"{cls.name}.{name} is on a ring spin/poll path "
                         f"but calls blocking {reason}",
                         hint="yield the core between probes and park on "
-                        "the doorbell via select for the slow path",
+                        "the doorbell via poll for the slow path",
                     )
 
 
@@ -658,9 +655,7 @@ def blocking_call_in_ring_spin(module: ModuleModel) -> Iterable[Finding]:
 
 
 #: Calls that hand out a memoryview over borrowed/reserved ring memory.
-_BORROW_SOURCES = frozenset(
-    {"reserve", "peek_record", "recv_borrow", "recv_frame_borrow"}
-)
+_BORROW_SOURCES = frozenset({"reserve", "peek_record", "recv_frame_borrow"})
 
 #: Calls that end the borrow/reservation and release the view.
 _BORROW_RELEASES = frozenset(
@@ -708,13 +703,13 @@ def _walk_own(func_node: ast.AST) -> Iterable[ast.AST]:
 
 @rule("NRMI036", "borrowed-view-escape", FAMILY_RUNTIME, Severity.ERROR)
 def borrowed_view_escape(module: ModuleModel) -> Iterable[Finding]:
-    """A view from ``reserve``/``peek_record``/``recv_borrow``/
-    ``recv_frame_borrow`` borrows mapped ring memory the producer will
-    recycle the moment the borrow ends. Three escapes are flagged per
-    function: storing the view on ``self`` (it outlives the borrow
-    window), returning it (the releasing call invalidates what the
-    caller holds — copy with ``bytes(view)`` instead, or document the
-    handoff with a suppression), and touching it after the same object's
+    """A view from ``reserve``/``peek_record``/``recv_frame_borrow``
+    borrows mapped ring memory the producer will recycle the moment the
+    borrow ends. Three escapes are flagged per function: storing the
+    view on ``self`` (it outlives the borrow window), returning it (the
+    releasing call invalidates what the caller holds — copy with
+    ``bytes(view)`` instead, or document the handoff with a
+    suppression), and touching it after the same object's
     ``consume``/``consume_borrow``/``commit``/``abort`` in straight-line
     code (the release already freed the span). The use-after-release
     check is per-block on purpose: a branch that releases and

@@ -8,9 +8,9 @@ transport × payload × framing **matrix** (echo calls carrying 64 B–64 KiB
 byte payloads over plain and pipelined channels, one windowed-percentile
 row per cell), Table-5-style NRMI copy-restore calls, the delta-restore
 ablation (full-map vs dirty-slot replies under sparse and dense
-mutators), and a concurrency sweep (the staged event-loop server vs the
-thread-per-connection baseline under 8/32/128 simultaneous echo clients:
-pooled p50/p99 latency, throughput, and the BUSY shed rate), a
+mutators), and a concurrency sweep (the stream server under 8/32/128
+simultaneous echo clients: pooled p50/p99 latency, throughput, and the
+BUSY shed rate), a
 **zero-copy × payload** ladder over shm (the staged copy path vs
 in-place ring encode/borrowed decode, headline
 ``shm_zerocopy_vs_shm`` ratio per payload size), and writes the
@@ -137,10 +137,9 @@ _TABLE5_CONFIGS = {
     "modern-optimized": NRMIConfig(profile="modern", implementation="optimized"),
 }
 
-# Concurrency-sweep grid: simultaneous echo connections per server kind.
-# Full mode reaches 128 connections — the regime where a thread per
-# connection costs 128 server threads while the staged core still runs
-# one net thread plus a fixed worker pool.
+# Concurrency-sweep grid: simultaneous echo connections. Full mode
+# reaches 128 connections — 128 reader threads in front of the fixed
+# worker pool.
 _SWEEP_CONNECTIONS_FULL = (8, 32, 128)
 _SWEEP_CONNECTIONS_QUICK = (4, 16)
 _SWEEP_WORKERS = 8
@@ -589,8 +588,8 @@ def _sweep_one_server(server, connections: int, window_seconds: float) -> Dict:
     """Pooled latency percentiles for *connections* echo clients.
 
     Each client thread owns one framed socket and issues back-to-back
-    echo round trips until the window closes. BUSY frames (the staged
-    server shedding under overload) are counted separately and excluded
+    echo round trips until the window closes. BUSY frames (the server
+    shedding under overload) are counted separately and excluded
     from the latency pool — a 2-byte rejection is not a round trip.
     """
     from repro.rmi.protocol import Status
@@ -655,16 +654,15 @@ def run_concurrency_sweep(
     connection_counts=_SWEEP_CONNECTIONS_FULL,
     window_seconds: float = 0.5,
 ) -> Dict[str, Dict]:
-    """Staged event-loop server vs thread-per-connection baseline.
+    """The stream server under growing numbers of echo connections.
 
     Echo handler (no marshalling) so the numbers isolate the server
     core: accept/framing/dispatch architecture, not serde. Each row is
-    ``connections`` simultaneous clients hammering one server; the
-    staged rows run the default shed policy, so under overload they
-    trade a bounded queue for explicit BUSY rejections, which the sweep
-    reports as ``shed_rate``.
+    ``connections`` simultaneous clients hammering one server; under
+    overload it trades a bounded queue for explicit BUSY rejections,
+    which the sweep reports as ``shed_rate``.
     """
-    from repro.transport.tcp import TcpServer, ThreadedTcpServer
+    from repro.transport.tcp import TcpServer
 
     def echo(request, session=None):
         return bytes(request)
@@ -673,27 +671,23 @@ def run_concurrency_sweep(
         "meta": {
             "payload_bytes": len(_SWEEP_PAYLOAD),
             "window_seconds": window_seconds,
-            "staged_workers": _SWEEP_WORKERS,
+            "workers": _SWEEP_WORKERS,
         }
     }
-    for kind in ("staged", "threaded"):
-        rows: Dict[str, Dict] = {}
-        for connections in connection_counts:
-            if kind == "staged":
-                server = TcpServer(
-                    echo,
-                    workers=_SWEEP_WORKERS,
-                    queue_capacity=max(64, 2 * connections),
-                )
-            else:
-                server = ThreadedTcpServer(echo)
-            try:
-                rows[f"c{connections}"] = _sweep_one_server(
-                    server, connections, window_seconds
-                )
-            finally:
-                server.stop(grace=2.0)
-        results[kind] = rows
+    rows: Dict[str, Dict] = {}
+    for connections in connection_counts:
+        server = TcpServer(
+            echo,
+            workers=_SWEEP_WORKERS,
+            queue_capacity=max(64, 2 * connections),
+        )
+        try:
+            rows[f"c{connections}"] = _sweep_one_server(
+                server, connections, window_seconds
+            )
+        finally:
+            server.stop(grace=2.0)
+    results["server"] = rows
     return results
 
 
@@ -1069,15 +1063,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{row['delta']['reply_bytes']:.0f}B reply "
             f"({row['reply_bytes_ratio']:.1f}x fewer reply bytes)"
         )
-    for kind in ("staged", "threaded"):
-        for row in sweep.get(kind, {}).values():
-            if row.get("calls"):
-                print(
-                    f"sweep/{kind}/c{row['connections']}: "
-                    f"p50 {row['p50_us']:.1f}us p99 {row['p99_us']:.1f}us "
-                    f"{row['calls_per_sec']:.0f} calls/s "
-                    f"shed {row['shed_rate'] * 100:.1f}%"
-                )
+    for row in sweep.get("server", {}).values():
+        if row.get("calls"):
+            print(
+                f"sweep/c{row['connections']}: "
+                f"p50 {row['p50_us']:.1f}us p99 {row['p99_us']:.1f}us "
+                f"{row['calls_per_sec']:.0f} calls/s "
+                f"shed {row['shed_rate'] * 100:.1f}%"
+            )
     print(f"wrote {output}")
     if failures:
         for failure in failures:

@@ -72,7 +72,7 @@ class RetryableError(TransportError):
 class ServerBusyError(RetryableError):
     """The server shed the request before executing it (overload).
 
-    The staged server answers with a fast BUSY frame when its bounded job
+    The stream server answers with a fast BUSY frame when its bounded job
     queue is full or it is draining for shutdown — the request body was
     never deserialized and the method never ran, so retrying is always
     safe. Subclassing :class:`RetryableError` puts BUSY on the normal

@@ -102,19 +102,16 @@ class NRMIConfig:
     # — kept as an ablation knob and for the bench's copy-vs-zero-copy
     # ladder. Ignored by socket transports.
     shm_zero_copy: bool = True
-    # Staged-server sizing: worker threads executing requests, and the
-    # bounded job-queue capacity between the net loop and the workers.
-    # The queue bound is the overload knob — see overload_policy.
+    # Server sizing: worker threads executing requests, and the bounded
+    # job-queue capacity between the connection readers and the workers.
+    # A request meeting a full queue is answered at once with the fast
+    # BUSY frame (the client retries with backoff).
     server_workers: int = 8
     queue_capacity: int = 64
     # Cap on frames one connection may have admitted-but-unanswered; a
     # pipelined client past the cap has its reads paused, so one client
     # cannot monopolize every worker.
     max_inflight_per_conn: int = 64
-    # What the server does when the job queue is full: "shed" answers
-    # immediately with the fast BUSY frame (client retries with backoff);
-    # "block" pauses reading and lets kernel socket buffers backpressure.
-    overload_policy: str = "shed"
 
     def __post_init__(self) -> None:
         if self.profile not in _VALID_PROFILES:
@@ -161,11 +158,6 @@ class NRMIConfig:
             raise ValueError(
                 "max_inflight_per_conn must be >= 1, got "
                 f"{self.max_inflight_per_conn}"
-            )
-        if self.overload_policy not in ("shed", "block"):
-            raise ValueError(
-                "overload_policy must be 'shed' or 'block', got "
-                f"{self.overload_policy!r}"
             )
         if self.implementation == "optimized" and self.profile == "legacy":
             # The paper's optimized NRMI exists only on JDK 1.4; mirror that

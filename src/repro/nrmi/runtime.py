@@ -140,12 +140,11 @@ class Endpoint:
         return self._tcp_server.address
 
     def _server_options(self) -> dict:
-        """Staged-server sizing and overload policy from the config."""
+        """Server sizing and overload limits from the config."""
         return {
             "workers": self.config.server_workers,
             "queue_capacity": self.config.queue_capacity,
             "max_inflight_per_conn": self.config.max_inflight_per_conn,
-            "overload_policy": self.config.overload_policy,
             "metrics": self.metrics,
             # Only shm duplexes are zero-copy capable; socket transports
             # accept and ignore the knob.

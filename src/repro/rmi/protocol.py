@@ -394,8 +394,8 @@ def protocol_error_response(message: str) -> bytes:
 def busy_response(reason: int = ServerBusyError.QUEUE_FULL) -> bytes:
     """The fast load-shedding reply: status byte + one reason byte.
 
-    Deliberately tiny and writer-free — the server's net loop emits it
-    inline for requests it never deserialized, so a shed costs two bytes
+    Deliberately tiny and writer-free — the server's connection reader
+    emits it inline for requests it never deserialized, so a shed costs two bytes
     of encoding work no matter how large the rejected payload was.
     """
     return bytes((Status.BUSY, reason & 0xFF))

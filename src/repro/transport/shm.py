@@ -17,16 +17,16 @@ handshake socket, which stays open as the *doorbell*.
 
 The doorbell carries no data — any byte means "re-check your rings".
 Each side sends one only when the peer has declared itself parked via
-the waiting flags in the ring control block, so a spinning client pays
-zero syscalls on the reply path and an idle connection burns no CPU
-(both sides sleep in ``select`` on the doorbell fd).
+the waiting flags in the ring control block. A reader spins briefly on
+its ring, then parks in ``poll`` on the doorbell fd, so a busy
+connection pays zero syscalls per frame and an idle one burns no CPU.
 
 Everything above the carrier is untouched: :class:`_RingDuplex` exposes
 the socket-shaped subset the framing layer uses (``sendmsg`` /
-``sendall`` / ``recv_into`` / ``recv`` / ``settimeout`` / ``fileno``),
-so the plain and pipelined channels, framing auto-detect,
-``TransportSession`` machinery, and the staged server core from
-:mod:`repro.transport.netloop` all run unmodified over the rings.
+``sendall`` / ``recv_into`` / ``settimeout`` / ``shutdown``), so the
+plain and pipelined channels, framing auto-detect, ``TransportSession``
+machinery, and the :class:`~repro.transport.stream.StreamServer` core all
+run unmodified over the rings.
 """
 
 from __future__ import annotations
@@ -75,9 +75,10 @@ from repro.util.ring import (
 #: under backpressure.
 DEFAULT_RING_CAPACITY = 1 << 20
 
-#: Busy-spin iterations before a blocked client parks on the doorbell.
+#: Busy-spin iterations before a blocked reader or writer parks on the
+#: doorbell.
 #: A reply typically lands well inside this budget (~tens of µs), so the
-#: hot path never selects; idle or slow peers park and burn no CPU. The
+#: hot path never parks; idle or slow peers park and burn no CPU. The
 #: spin yields the core between re-checks (``sched_yield``): under
 #: CPython a tight spin would hold the GIL and starve a same-process
 #: peer — the common benchmark topology — of the very cycles it needs
@@ -182,16 +183,12 @@ class _RingDuplex:
     """Socket-shaped duplex over one ring pair plus the doorbell socket.
 
     Implements exactly the subset of the socket API the framing layer
-    and the staged server touch. Client duplexes are *blocking*: reads
-    and writes busy-spin briefly, then park on the doorbell honouring
-    ``settimeout``. Server duplexes are non-blocking: ``recv``/``send``
-    return what is ready and raise ``BlockingIOError`` otherwise, and
-    ``fileno()`` hands the selector the doorbell fd.
+    and the stream server touch. Reads and writes are *blocking*: they
+    busy-spin briefly, then park on the doorbell honouring
+    ``settimeout``. One thread may read while others write (the server's
+    reader thread and its workers): the rx and tx rings have one
+    consumer and one producer each, and the doorbell socket is shared.
     """
-
-    #: Tells the net loop that write readiness is signalled by doorbell
-    #: *reads* (the doorbell socket itself is always writable).
-    doorbell_interest = True
 
     def __init__(
         self,
@@ -214,31 +211,24 @@ class _RingDuplex:
 
     # ------------------------------------------------------ socket facade
 
-    def fileno(self) -> int:
-        return self._sock.fileno()
-
     def settimeout(self, timeout: Optional[float]) -> None:
         self._timeout = timeout
 
-    def gettimeout(self) -> Optional[float]:
-        return self._timeout
-
-    def setblocking(self, flag: bool) -> None:
-        # Ring readiness is explicit per call; only the doorbell socket
-        # has kernel blocking state, and it must stay non-blocking.
-        pass
+    def shutdown(self, how: int = socket.SHUT_RDWR) -> None:
+        """End all I/O: the peer and every thread blocked here wake, and
+        later reads and writes fail. The doorbell fd stays open until
+        :meth:`close`."""
+        self._closed = True
+        try:
+            self._sock.shutdown(how)
+        except OSError:
+            pass
 
     def close(self) -> None:
         """Idempotent. Shuts the doorbell down first so a peer (and any
-        thread parked in ``select`` here) wakes immediately; the segment
+        thread parked in ``poll`` here) wakes immediately; the segment
         itself is reclaimed by refcounting once the ring views die."""
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
+        self.shutdown()
         try:
             self._sock.close()
         except OSError:
@@ -287,7 +277,11 @@ class _RingDuplex:
                     raise socket.timeout(f"shm {what} timed out")
                 timeout = min(timeout, PARK_BACKSTOP_SECONDS)
             try:
-                ready, _, _ = select.select([self._sock], [], [], timeout)
+                # poll, not select: a server holds one doorbell per
+                # connection, and select rejects descriptors >= 1024.
+                poller = select.poll()
+                poller.register(self._sock, select.POLLIN)
+                ready = poller.poll(timeout * 1000.0)
             except (OSError, ValueError):
                 self._eof = True
                 return
@@ -304,7 +298,7 @@ class _RingDuplex:
             return waiter.readable()
         return waiter.writable()
 
-    # ----------------------------------------------- blocking client path
+    # ------------------------------------------------------------ reads
 
     def recv_into(self, buffer, nbytes: int = 0, flags: int = 0) -> int:
         """Blocking read of at least one byte (0 on EOF), like a socket."""
@@ -338,28 +332,9 @@ class _RingDuplex:
             spin = self._spin
 
     def recv(self, bufsize: int, flags: int = 0):
-        """Non-blocking net-thread read, socket semantics: at most
-        *bufsize* bytes, ``BlockingIOError`` when nothing is pending.
-
-        Bytes beyond *bufsize* stay in the ring with no doorbell byte to
-        announce them; that is safe because every caller that sees this
-        duplex treats it as a doorbell connection and follows a read
-        with the linger poll, whose :meth:`poll_ready` /
-        :meth:`park_rx` re-checks find the residue without a wakeup.
-        """
+        """Non-blocking read, socket semantics: at most *bufsize* bytes,
+        ``b""`` on EOF, ``BlockingIOError`` when nothing is pending."""
         self._drain_doorbell()
-        return self._recv_pending(bufsize)
-
-    def recv_ring(self, bufsize: int, flags: int = 0):
-        """:meth:`recv` for the linger poll: ring-only, no doorbell drain.
-
-        The poll already knows readiness from :meth:`poll_ready`, so the
-        drain syscall would be pure overhead; doorbell bytes and EOF
-        detection stay with the selector path, which keeps running.
-        """
-        return self._recv_pending(bufsize)
-
-    def _recv_pending(self, bufsize: int):
         rx = self._rx
         if not rx.readable():
             if self._eof:
@@ -383,6 +358,8 @@ class _RingDuplex:
         if rx.peer_waiting:
             self._ring_peer()
         return out
+
+    # ----------------------------------------------------------- writes
 
     def sendmsg(self, buffers, ancdata=(), flags: int = 0) -> int:
         """Scatter-gather blocking send; always writes every buffer.
@@ -439,29 +416,9 @@ class _RingDuplex:
         if ring_after and length and tx.peer_waiting:
             self._ring_peer()
 
-    # ------------------------------------------- non-blocking server path
-
-    def send(self, data) -> int:
-        """Non-blocking net-thread write; ``BlockingIOError`` on a full
-        ring *after* flagging the peer to ring back when space frees."""
-        view = data if isinstance(data, memoryview) else memoryview(data)
-        tx = self._tx
-        wrote = tx.try_write(view)
-        if not wrote:
-            if self._eof:
-                raise OSError(errno.EPIPE, "shm peer closed")
-            tx.set_waiting()
-            wrote = tx.try_write(view)  # re-check closes the park race
-            if not wrote:
-                raise BlockingIOError(errno.EAGAIN, "shm ring full")
-        tx.clear_waiting()
-        if tx.peer_waiting:
-            self._ring_peer()
-        return wrote
-
     # ------------------------------------------------ zero-copy fast path
     #
-    # The staged paths above copy every frame twice per direction: the
+    # The copying paths above move every frame twice per direction: the
     # serde buffer into the ring, and the ring into a staging bytearray.
     # The methods below delete both copies. A sender reserves a span of
     # the mapped segment, builds the frame in place, and commits it as
@@ -514,7 +471,7 @@ class _RingDuplex:
         The server's reply fast path: a frame that lands in a single
         record is what makes the client's borrowed decode engage. Raises
         ``BlockingIOError`` without side effects when the ring lacks a
-        contiguous span — the caller falls back to the queued-send path.
+        contiguous span — the caller falls back to ``write_frame``.
         """
         if self._eof:
             raise OSError(errno.EPIPE, "shm peer closed")
@@ -534,7 +491,8 @@ class _RingDuplex:
         return total
 
     def recv_frame_borrow(self):
-        """Blocking client-side borrow of one complete reply frame.
+        """Blocking borrow of one complete frame (a client's reply, or a
+        request on the server's reader thread).
 
         Returns a ``memoryview`` over the frame *payload* (the 4-byte
         length header already validated and skipped) when the whole
@@ -576,31 +534,6 @@ class _RingDuplex:
             _FRAME_HEADER : _FRAME_HEADER + length
         ]
 
-    def recv_borrow(self, drain: bool = True):
-        """Non-blocking net-thread borrow of the next pending record.
-
-        Returns the record's unconsumed payload as a ``memoryview``,
-        ``b""`` on EOF, or raises ``BlockingIOError``. With ``drain``
-        False the doorbell is left alone (linger-poll variant, readiness
-        already known). The borrow is live until :meth:`consume_borrow`;
-        the caller must not issue any other read on this duplex while it
-        is (the ring rejects them).
-        """
-        if drain:
-            self._drain_doorbell()
-        rx = self._rx
-        if not rx.readable():
-            if self._eof:
-                return b""
-            raise BlockingIOError(errno.EAGAIN, "no shm data ready")
-        return rx.peek_record()  # nrmi: disable=NRMI036 -- sanctioned handoff: net-thread borrow; _drain_completions/_close_conn consume it
-
-    def drain_doorbell(self) -> None:
-        """Swallow pending doorbell bytes without touching the ring —
-        the only read that is legal while a borrow is live. EOF latches
-        internally and surfaces on the next send or ring read."""
-        self._drain_doorbell()
-
     def consume_borrow(self, nbytes: Optional[int] = None) -> None:
         """End the active borrow, freeing *nbytes* of it (default: all)
         back to the producer; rings the peer if it is parked on a full
@@ -609,29 +542,6 @@ class _RingDuplex:
         rx.consume(nbytes)
         if rx.peer_waiting:
             self._ring_peer()
-
-    # ------------------------------------------ net-thread linger polling
-
-    def poll_ready(self) -> bool:
-        """Ring-only readability probe — no syscall."""
-        return self._rx.readable()
-
-    def poll_send_ready(self) -> bool:
-        """Ring-only writability probe — no syscall."""
-        return self._tx.writable()
-
-    def unpark_rx(self) -> None:
-        """Enter polling mode: with the consumer-waiting flag clear, the
-        peer skips the doorbell send entirely — its request path becomes
-        two ring writes and zero syscalls."""
-        self._rx.clear_waiting()
-
-    def park_rx(self) -> bool:
-        """Leave polling mode. Sets the consumer-waiting flag, then
-        re-checks the ring once; ``True`` means bytes slipped in during
-        the transition and the caller should keep polling."""
-        self._rx.set_waiting()
-        return self._rx.readable()
 
 
 def _read_exact_handshake(sock: socket.socket) -> tuple:
@@ -704,9 +614,10 @@ class ShmServer(StreamServer):
     is still *our* socket — so a successor can rebind immediately and is
     never unlinked by a late-stopping predecessor.
 
-    Keyword *server_options* pass through to the staged stream server:
-    ``workers``, ``queue_capacity``, ``max_inflight_per_conn``,
-    ``overload_policy``, ``partial_read_timeout``, ``metrics``.
+    Keyword *server_options* pass through to
+    :class:`~repro.transport.stream.StreamServer`: ``workers``,
+    ``queue_capacity``, ``max_inflight_per_conn``,
+    ``partial_read_timeout``, ``metrics``, ``zero_copy``.
     """
 
     def __init__(
@@ -805,11 +716,8 @@ class ShmServer(StreamServer):
         return f"shm://{self.name}"
 
     def _wrap_accepted(self, conn: socket.socket):
-        """Per-connection handshake, run inline on the net thread.
-
-        It is strictly one-way — create segment, ship fd, never read —
-        so it cannot block the loop on a slow or dead client.
-        """
+        """Per-connection handshake, run on the connection's reader
+        thread: create the segment, ship its fd, never read."""
         size = segment_size(self._capacity)
         fd = _create_segment_fd(size)
         try:
@@ -826,19 +734,14 @@ class ShmServer(StreamServer):
             tx = producer_view(
                 segment, _s2c_offset(self._capacity), self._capacity
             )
-            # The net thread is permanently selector-parked: every client
-            # commit must arrive as a doorbell byte. Declared *before*
-            # the fd ships, so even the client's first frame sees it.
-            rx.set_waiting()
             socket.send_fds(
                 conn, [_HS.pack(_MAGIC, _VERSION, self._capacity)], [fd]
             )
         except OSError:
             # A client that vanished mid-handshake (EPIPE/ECONNRESET from
-            # send_fds) must stay an OSError to the accept path: closing
-            # the mmap while ring views are still exported over it raises
-            # BufferError, which would escape and kill the net thread —
-            # so release the views first.
+            # send_fds) must stay an OSError to the reader: closing the
+            # mmap while ring views are still exported over it raises
+            # BufferError instead — so release the views first.
             for side in (rx, tx):
                 if side is not None:
                     side.detach()
@@ -849,11 +752,10 @@ class ShmServer(StreamServer):
             raise
         finally:
             os.close(fd)
-        conn.setblocking(False)
         return _RingDuplex(segment, conn, rx, tx)
 
     def _on_stop(self) -> None:
-        # Runs only after the listener closed and the net thread exited.
+        # Runs only after the listener closed.
         # The inode guard keeps a late stop() from unlinking a successor
         # that already reclaimed and rebound the path; the endpoint lock
         # serializes the stat+unlink against a successor's reclaim-and-

@@ -1,21 +1,53 @@
-"""Shared machinery for byte-stream transports (TCP, Unix sockets).
+"""Shared machinery for byte-stream transports (TCP, Unix sockets, shm).
 
 Everything above the socket — framing auto-detection, serving, graceful
 drain-then-force-close shutdown, the pooled client channel, and the
 multi-call-in-flight pipelined channel — is identical whether bytes
-travel over ``AF_INET`` or ``AF_UNIX``. This module holds that machinery
-once; :mod:`repro.transport.tcp` and :mod:`repro.transport.uds` supply
-only the endpoint-specific pieces: how a listener is bound, how a client
-socket is opened, how the endpoint is named in addresses and errors.
+travel over ``AF_INET``, ``AF_UNIX`` or a shared-memory ring pair. This
+module holds that machinery once; :mod:`repro.transport.tcp`,
+:mod:`repro.transport.uds` and :mod:`repro.transport.shm` supply only the
+endpoint-specific pieces: how a listener is bound, how a client socket
+is opened, how the endpoint is named in addresses and errors.
 
-The default server core is the **staged** design in
-:mod:`repro.transport.netloop` (re-exported here as ``StreamServer``):
-one selector-based net thread frames requests, a bounded job queue feeds
-N worker threads, and overload behaviour (BUSY shedding, in-flight caps,
-graceful drain) is explicit policy. The classic thread-per-connection
-server survives as :class:`ThreadedStreamServer`, kept as the
-benchmarking baseline the concurrency sweep compares against — the model
-of classic RMI's connection handling, one thread per accepted socket.
+The server core (:class:`StreamServer`) is the model of classic RMI's
+connection handling — one thread per accepted connection — with the
+execution stage split off into a bounded worker pool:
+
+* an **accept thread** takes connections off the listener;
+* one **reader thread per connection** detects its framing (plain or
+  pipelined) and reads frames with blocking reads;
+* a bounded job queue feeds ``workers`` **worker threads**, which run
+  the handler and write each reply under the connection's write lock.
+
+Overload behaviour is explicit policy, not an accident of threading:
+
+* **bounded queue** — at most ``queue_capacity`` requests wait for a
+  worker. A request arriving at a full queue is answered at once with
+  the two-byte BUSY frame from its reader thread — the payload is never
+  deserialized, so shedding stays O(1) however large the rejected call
+  was.
+* **per-connection in-flight cap** — a connection may have at most one
+  unanswered frame under plain framing (replies must leave in request
+  order) and ``max_inflight_per_conn`` under pipelined framing. The cap
+  holds by blocking that connection's reader, so unread bytes back up
+  into the kernel socket buffers of that one client.
+* **partial-frame deadline** — once a frame is half read, each further
+  read must make progress within ``partial_read_timeout`` or the
+  connection is reaped (slow-loris). Only a frame boundary with nothing
+  buffered may wait longer: an idle connection is never reaped.
+* **reply-write deadline** — a reply must be written within the same
+  ``partial_read_timeout``, or the connection is reaped as stalled: a
+  client that stops reading its replies cannot pin a worker. ``None``
+  switches both deadlines off.
+* **graceful drain** — ``stop(grace)`` closes the listener and answers
+  every new frame with BUSY(draining); queued and executing work gets
+  *grace* seconds to finish and flush. Past the deadline whatever is
+  still queued is rejected with BUSY and connections are closed. Every
+  accepted connection ends with a reply, a BUSY, or a clean close.
+
+The BUSY frame is the one protocol byte this layer emits itself
+(:func:`repro.rmi.protocol.busy_response` — status ``BUSY`` + reason),
+the transport-level analogue of an HTTP 503 sent by the listener.
 
 The plain client channel keeps one connection and serializes requests
 over it with a lock; the pipelined channel keeps many calls in flight on
@@ -28,14 +60,21 @@ can deduplicate, may send the same request twice.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import socket
+import struct
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Optional
+from typing import Deque, Dict, Optional
 
-from repro.errors import DeadlineExceededError, RetryableError, TransportError
+from repro.errors import (
+    DeadlineExceededError,
+    RetryableError,
+    ServerBusyError,
+    TransportError,
+)
+from repro.rmi.protocol import busy_response
 from repro.serde.schema import SchemaSession
 from repro.transport.base import (
     Channel,
@@ -44,63 +83,291 @@ from repro.transport.base import (
     call_handler,
 )
 from repro.transport.framing import (
+    MAX_FRAME_BYTES,
     PIPELINE_MAGIC,
     PIPELINE_PREAMBLE,
     PIPELINE_VERSION,
     read_frame,
-    read_frame_body,
     read_frame_corr,
-    recv_exact,
     write_frame,
     write_frame_corr,
 )
-from repro.transport.netloop import StagedStreamServer as StreamServer
-from repro.util.metrics import Gauge
+from repro.util.metrics import Gauge, MetricsRegistry
 
 __all__ = [
     "StreamServer",
-    "ThreadedStreamServer",
     "StreamChannel",
     "PipelinedStreamChannel",
 ]
 
+_LEN = struct.Struct(">I")
+_HEADER = _LEN.size
+_CORR_HEADER = struct.Struct(">II")
 
-class ThreadedStreamServer:
-    """Thread-per-connection server core, kept as the scaling baseline.
+#: Bytes a reader asks for per read: one syscall usually brings a whole
+#: small frame (header included); larger payloads are read in place.
+_RECV_CHUNK = 64 * 1024
 
-    This is the classic model: an accept thread spawns one thread per
-    connection, which reads, executes, and writes in a loop. It is the
-    comparison point for the staged :class:`StreamServer`'s concurrency
-    sweep; production paths use the staged core.
+_BUSY_QUEUE_FULL = busy_response(ServerBusyError.QUEUE_FULL)
+_BUSY_DRAINING = busy_response(ServerBusyError.DRAINING)
+
+
+class _Stalled(Exception):
+    """A half-read frame made no progress within the partial-read deadline."""
+
+
+class _BoundedJobQueue:
+    """The stage boundary: readers push without blocking, workers block
+    to pop. Capacity is the overload-policy knob, not a guess."""
+
+    def __init__(self, capacity: int, depth_gauge, active_gauge) -> None:
+        self._capacity = capacity
+        self._items: Deque[tuple] = collections.deque()
+        self._lock = threading.Lock()
+        self._not_empty = threading.Condition(self._lock)
+        self._closed = False
+        self._active = 0
+        self._depth_gauge = depth_gauge
+        self._active_gauge = active_gauge
+
+    def try_push(self, job: tuple) -> bool:
+        """Admit *job* unless the queue is full or closed; never blocks."""
+        with self._lock:
+            if self._closed or len(self._items) >= self._capacity:
+                return False
+            self._items.append(job)
+            self._depth_gauge.set(len(self._items))
+            self._not_empty.notify()
+            return True
+
+    def pop(self) -> Optional[tuple]:
+        """Blocking take for workers; None once closed and empty."""
+        with self._not_empty:
+            while not self._items and not self._closed:
+                self._not_empty.wait()
+            if not self._items:
+                return None
+            job = self._items.popleft()
+            self._active += 1
+            self._depth_gauge.set(len(self._items))
+            self._active_gauge.set(self._active)
+            return job
+
+    def task_done(self) -> None:
+        with self._lock:
+            self._active -= 1
+            self._active_gauge.set(self._active)
+
+    def drain(self) -> list:
+        """Remove and return every not-yet-started job (drain rejection)."""
+        with self._lock:
+            items = list(self._items)
+            self._items.clear()
+            self._depth_gauge.set(0)
+            return items
+
+    def close(self) -> None:
+        with self._not_empty:
+            self._closed = True
+            self._not_empty.notify_all()
+
+
+class _Connection:
+    """One accepted connection, shared by its reader thread, the workers
+    answering its frames, and ``stop``.
+
+    ``state`` guards ``pending`` (frames read but not yet answered),
+    ``reading`` and ``closed``; ``write_lock`` keeps concurrent replies
+    from interleaving. The socket is *shut down* (every blocked reader
+    and writer wakes) as soon as the connection is done, but *closed* —
+    its descriptor freed for reuse — only once nothing can touch it: the
+    reader has exited and every frame it read is answered.
+    """
+
+    __slots__ = (
+        "sock",
+        "session",
+        "zero_copy",
+        "state",
+        "write_lock",
+        "pending",
+        "reading",
+        "closed",
+        "reader",
+    )
+
+    def __init__(self, sock) -> None:
+        self.sock = sock
+        # Schema rx cache etc.: dies with the socket, shared by every
+        # worker executing this connection's frames (thread-safe inside).
+        self.session = TransportSession()
+        #: Requests arrive as borrowed ring records (shm, plain framing).
+        self.zero_copy = False
+        self.state = threading.Condition(threading.Lock())
+        self.write_lock = threading.Lock()
+        self.pending = 0
+        self.reading = True
+        self.closed = False
+        self.reader: Optional[threading.Thread] = None
+
+
+class _FrameReader:
+    """Buffered exact reads for one connection's reader thread.
+
+    The connection's timeout is ``partial_read_timeout`` throughout. A
+    read that times out at a frame boundary with nothing buffered is an
+    idle connection, and simply waits again; a timeout anywhere else —
+    the rest of a header, a payload — raises :class:`_Stalled`.
+    """
+
+    def __init__(self, sock) -> None:
+        self._sock = sock
+        self._chunk = bytearray(_RECV_CHUNK)
+        self._view = memoryview(self._chunk)
+        self._buf = bytearray()
+
+    @property
+    def buffered(self) -> bool:
+        return bool(self._buf)
+
+    def read(self, count: int, boundary: bool = False) -> Optional[bytearray]:
+        """Exactly *count* bytes; None when the peer closed first.
+
+        *boundary* marks the first read of a frame: it alone may wait
+        for the peer past the deadline.
+        """
+        buf = self._buf
+        while len(buf) < count:
+            if count - len(buf) >= _RECV_CHUNK:
+                return self._read_large(count)
+            got = self._recv(self._view, idle=boundary and not buf)
+            if not got:
+                return None
+            buf += self._view[:got]
+        out = buf[:count]
+        del buf[:count]
+        return out
+
+    def _read_large(self, count: int) -> Optional[bytearray]:
+        """A payload too big for read-ahead: receive it in place."""
+        out = bytearray(count)
+        have = len(self._buf)
+        out[:have] = self._buf
+        self._buf.clear()
+        view = memoryview(out)
+        while have < count:
+            got = self._recv(view[have:])
+            if not got:
+                return None
+            have += got
+        return out
+
+    def _recv(self, view, idle: bool = False) -> int:
+        while True:
+            try:
+                return self._sock.recv_into(view)
+            except socket.timeout as exc:
+                if not idle:
+                    raise _Stalled() from exc
+
+
+def _frame_length(header) -> int:
+    (length,) = _LEN.unpack_from(header)
+    if length > MAX_FRAME_BYTES:
+        raise TransportError(f"peer announced oversized frame: {length} bytes")
+    return length
+
+
+class StreamServer:
+    """Serves a request handler over a stream socket until stopped.
 
     Subclasses pass an already-bound, listening socket plus a *label*
     used for thread naming, and implement :attr:`address` (the string a
     resolver can dial) plus optionally :meth:`_configure_connection`
-    (per-accepted-socket options) and :meth:`_on_stop` (endpoint
-    cleanup, e.g. unlinking a Unix socket path).
+    (per-accepted-socket options), :meth:`_wrap_accepted` (turn an
+    accepted socket into the connection's duplex) and :meth:`_on_stop`
+    (endpoint cleanup, e.g. unlinking a Unix socket path — called only
+    after the listener is closed, so a successor reclaiming the endpoint
+    can never be unlinked by a late stop).
     """
 
-    #: Default seconds ``stop()`` waits for in-flight requests to drain.
+    #: Default seconds ``stop()`` lets in-flight work drain.
     STOP_GRACE_SECONDS = 2.0
-    #: Workers concurrently executing requests of one pipelined connection.
-    PIPELINE_WORKERS = 8
-    #: Cap on frames admitted but not yet answered per pipelined connection.
-    PIPELINE_MAX_IN_FLIGHT = 64
+    #: Default worker threads executing requests.
+    DEFAULT_WORKERS = 8
+    #: Default bounded job-queue capacity (requests awaiting a worker).
+    DEFAULT_QUEUE_CAPACITY = 64
+    #: Default cap on frames admitted but not yet answered per connection.
+    DEFAULT_MAX_INFLIGHT_PER_CONN = 64
+    #: Default seconds a half-read frame may go without progress.
+    DEFAULT_PARTIAL_READ_TIMEOUT = 30.0
 
     def __init__(
-        self, handler: RequestHandler, sock: socket.socket, label: str
+        self,
+        handler: RequestHandler,
+        sock: socket.socket,
+        label: str,
+        *,
+        workers: int = DEFAULT_WORKERS,
+        queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
+        max_inflight_per_conn: int = DEFAULT_MAX_INFLIGHT_PER_CONN,
+        partial_read_timeout: Optional[float] = DEFAULT_PARTIAL_READ_TIMEOUT,
+        metrics: Optional[MetricsRegistry] = None,
+        zero_copy: bool = True,
     ) -> None:
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        if queue_capacity < 1:
+            raise ValueError(
+                f"queue_capacity must be >= 1, got {queue_capacity}"
+            )
+        if max_inflight_per_conn < 1:
+            raise ValueError(
+                f"max_inflight_per_conn must be >= 1, got {max_inflight_per_conn}"
+            )
         self._handler = handler
         self._sock = sock
         self._label = label
-        self._stopping = threading.Event()
+        self._max_inflight = max_inflight_per_conn
+        self._partial_read_timeout = partial_read_timeout
+        #: Serve zero-copy-capable duplexes (shm) through borrowed ring
+        #: records. Off = every request is copied out of the ring
+        #: (ablation / copy-vs-zero-copy bench rows).
+        self._zero_copy = zero_copy
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._accepted_counter = self.metrics.counter("server.connections.accepted")
+        self._shed_counter = self.metrics.counter("server.shed.queue_full")
+        self._drain_shed_counter = self.metrics.counter("server.shed.draining")
+        self._jobs_counter = self.metrics.counter("server.jobs.submitted")
+        self._stalled_counter = self.metrics.counter(
+            "server.connections.reaped_stalled"
+        )
+        self._jobs = _BoundedJobQueue(
+            queue_capacity,
+            self.metrics.gauge("server.queue_depth"),
+            self.metrics.gauge("server.workers.active"),
+        )
+        self._conns_lock = threading.Lock()
+        self._conns: set = set()
+        #: Set once by ``stop()``: new frames get BUSY(draining).
+        self._draining = threading.Event()
+        self._stopped = threading.Event()
+        self._workers = [
+            threading.Thread(
+                target=self._worker_loop,
+                name=f"{label}-worker-{index}",
+                daemon=True,
+            )
+            for index in range(workers)
+        ]
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name=f"{label}-accept", daemon=True
         )
-        self._conn_lock = threading.Lock()
-        self._conn_threads: set[threading.Thread] = set()
-        self._conn_socks: set[socket.socket] = set()
+        for thread in self._workers:
+            thread.start()
         self._accept_thread.start()
+
+    # --------------------------------------------------- subclass surface
 
     @property
     def address(self) -> str:
@@ -109,192 +376,323 @@ class ThreadedStreamServer:
     def _configure_connection(self, conn: socket.socket) -> None:
         """Per-connection socket options (e.g. TCP_NODELAY); default none."""
 
+    def _wrap_accepted(self, conn: socket.socket):
+        """Turn a freshly accepted socket into the connection's duplex.
+
+        The default serves the socket itself; a non-socket carrier (the
+        shm transport) overrides this to run its handshake and return a
+        socket-shaped duplex instead. Runs on the connection's reader
+        thread; raise ``OSError`` to reject the connection.
+        """
+        self._configure_connection(conn)
+        return conn
+
     def _on_stop(self) -> None:
         """Endpoint cleanup after the listener closes; default none."""
 
     @property
     def live_connections(self) -> int:
         """Connections currently being served (reaped handles excluded)."""
-        with self._conn_lock:
-            return len(self._conn_threads)
+        with self._conns_lock:
+            return len(self._conns)
+
+    # ------------------------------------------------------ accept thread
 
     def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
+        while True:
             try:
                 conn, _peer = self._sock.accept()
             except OSError:
-                return  # listening socket closed during shutdown
-            thread = threading.Thread(
-                target=self._serve_connection,
-                args=(conn,),
+                if self._draining.is_set():
+                    return  # listener shut down by stop()
+                time.sleep(0.01)  # EMFILE, ECONNABORTED: keep serving
+                continue
+            connection = _Connection(conn)
+            connection.reader = threading.Thread(
+                target=self._read_loop,
+                args=(connection,),
                 name=f"{self._label}-conn",
                 daemon=True,
             )
-            with self._conn_lock:
-                if self._stopping.is_set():
-                    # Accepted during drain: never served, so give the
-                    # peer a deterministic clean close instead of letting
-                    # the socket leak until process exit.
-                    try:
-                        conn.shutdown(socket.SHUT_RDWR)
-                    except OSError:
-                        pass
-                    conn.close()
-                    return
-                self._conn_threads.add(thread)
-                self._conn_socks.add(conn)
-            thread.start()
+            # Registered here, not by the reader, so that once stop() has
+            # joined this thread its snapshot of connections is complete.
+            with self._conns_lock:
+                admitted = not self._draining.is_set()
+                if admitted:
+                    self._conns.add(connection)
+            if not admitted:
+                conn.close()  # raced the listener close: a clean refusal
+                continue
+            self._accepted_counter.add()
+            connection.reader.start()
 
-    def _serve_connection(self, conn: socket.socket) -> None:
+    # ------------------------------------------------------ reader thread
+
+    def _read_loop(self, connection: _Connection) -> None:
         try:
-            with conn:
-                self._configure_connection(conn)
-                # Framing auto-detect: a pipelined client opens with the
-                # 8-byte preamble; interpreted as a length header its first
-                # four bytes would announce an illegally oversized frame,
-                # so plain clients can never collide with it.
-                try:
-                    first = bytes(recv_exact(conn, 4))
-                except TransportError:
-                    return
-                if first == PIPELINE_MAGIC:
-                    try:
-                        version = bytes(recv_exact(conn, 4))
-                    except TransportError:
-                        return
-                    if version != PIPELINE_VERSION:
-                        return  # unknown pipeline revision: drop
-                    self._serve_pipelined(conn)
-                    return
-                self._serve_sequential(conn, first)
+            connection.sock = self._wrap_accepted(connection.sock)
+            # One deadline for every read and write on this connection:
+            # it reaps half-read frames and replies the peer never reads.
+            connection.sock.settimeout(self._partial_read_timeout)
+            connection.zero_copy = self._zero_copy and bool(
+                getattr(connection.sock, "zero_copy_capable", False)
+            )
+            self._read_frames(connection)
+        except _Stalled:
+            self._stalled_counter.add()
+        except (OSError, TransportError):
+            pass  # peer gone, handshake failed, or framing violated
         finally:
-            # Reap this handle so the sets track only live connections.
-            with self._conn_lock:
-                self._conn_threads.discard(threading.current_thread())
-                self._conn_socks.discard(conn)
+            self._shut(connection)
+            self._settle(connection, reader_exit=True)
 
-    def _serve_sequential(self, conn: socket.socket, first_header: bytes) -> None:
-        """Classic one-request-at-a-time framing (*first_header* pre-read)."""
-        header: Optional[bytes] = first_header
-        # Per-connection state (schema rx cache): dies with the socket, so
-        # a reconnecting client renegotiates from scratch.
-        session = TransportSession()
-        while not self._stopping.is_set():
+    def _read_frames(self, connection: _Connection) -> None:
+        """Plain framing, after auto-detecting it on the first header.
+
+        A pipelined client opens with the 8-byte preamble; interpreted as
+        a length header its first four bytes would announce an illegally
+        oversized frame, so plain clients can never collide with it.
+        """
+        reader = _FrameReader(connection.sock)
+        first = True
+        while True:
+            if connection.zero_copy and not reader.buffered:
+                served = self._serve_borrowed(connection)
+                if served is not None:
+                    if not served:
+                        return
+                    first = False
+                    continue
+            header = reader.read(_HEADER, boundary=True)
+            if header is None:
+                return
+            if first and header == PIPELINE_MAGIC:
+                if reader.read(_HEADER) == PIPELINE_VERSION:
+                    self._read_pipelined(connection, reader)
+                return  # an unknown pipeline revision is dropped
+            first = False
+            payload = reader.read(_frame_length(header))
+            if payload is None or not self._admit(connection, None, payload, 1):
+                return
+
+    def _read_pipelined(self, connection: _Connection, reader: _FrameReader) -> None:
+        cap = self._max_inflight
+        while True:
+            header = reader.read(_CORR_HEADER.size, boundary=True)
+            if header is None:
+                return
+            corr_id = _CORR_HEADER.unpack(header)[1]
+            payload = reader.read(_frame_length(header))
+            if payload is None or not self._admit(connection, corr_id, payload, cap):
+                return
+
+    def _serve_borrowed(self, connection: _Connection) -> Optional[bool]:
+        """Zero-copy request path: hand a worker the borrowed ring record.
+
+        Returns None when the next record is not exactly one whole frame
+        (the pipelined preamble, a split or oversized frame, EOF) — it is
+        left in the ring for the copying reader. Otherwise the frame is
+        admitted, and the borrow is consumed only once it is answered,
+        so the rx ring keeps one consumer: this thread. False means the
+        connection closed meanwhile.
+        """
+        sock = connection.sock
+        while True:
             try:
-                if header is not None:
-                    request = read_frame_body(conn, header)
-                    header = None
-                else:
-                    request = read_frame(conn)
-            except TransportError:
-                return  # peer closed or connection broke
+                payload = sock.recv_frame_borrow()
+                break
+            except socket.timeout:
+                continue  # idle: records arrive whole, nothing is half read
+        if payload is None:
+            return None
+        if not self._admit(connection, None, payload, 1):
+            return False
+        state = connection.state
+        with state:
+            while connection.pending and not connection.closed:
+                state.wait()
+            if connection.closed:
+                # A worker may still be decoding the view: leave the span
+                # unconsumed rather than let the peer overwrite it.
+                return False
+        sock.consume_borrow(_HEADER + len(payload))
+        return True
+
+    def _admit(self, connection: _Connection, corr_id, payload, cap: int) -> bool:
+        """Queue one frame for the workers, or answer it with BUSY.
+
+        Blocks while the connection already has *cap* frames unanswered;
+        False when the connection closed instead.
+        """
+        state = connection.state
+        with state:
+            connection.pending += 1
+            while connection.pending > cap and not connection.closed:
+                state.wait()
+            if connection.closed:
+                connection.pending -= 1
+                return False
+        if self._draining.is_set():
+            self._drain_shed_counter.add()
+            self._answer(connection, corr_id, _BUSY_DRAINING)
+        elif self._jobs.try_push((connection, corr_id, payload)):
+            self._jobs_counter.add()
+        else:
+            # Load shedding: the payload is never deserialized; the
+            # two-byte BUSY frame is the entire cost of rejection.
+            self._shed_counter.add()
+            self._answer(connection, corr_id, _BUSY_QUEUE_FULL)
+        return True
+
+    # ------------------------------------------------------ worker threads
+
+    def _worker_loop(self) -> None:
+        jobs = self._jobs
+        handler = self._handler
+        completed = self.metrics.counter("server.jobs.completed")
+        while True:
+            job = jobs.pop()
+            if job is None:
+                return
+            connection, corr_id, payload = job
             try:
-                response = call_handler(self._handler, request, session)
+                response = call_handler(handler, payload, connection.session)
             except Exception:  # noqa: BLE001 - handler must not kill server
                 # The RMI dispatcher encodes application errors itself;
                 # anything escaping to here is a protocol bug, and the
                 # only safe move is dropping the connection.
-                return
-            try:
-                write_frame(conn, response)
-            except TransportError:
-                return
+                self._shut(connection)
+                self._settle(connection)
+            else:
+                self._answer(connection, corr_id, response)
+            completed.add()
+            jobs.task_done()
 
-    def _serve_pipelined(self, conn: socket.socket) -> None:
-        """Serve correlation-tagged frames, many requests in flight.
+    # ------------------------------------------------- shared connection ops
 
-        Each request runs on a worker; responses go out in completion
-        order under a write lock, tagged with the request's correlation
-        id so the client's reader thread can demultiplex them.
-        """
-        write_lock = threading.Lock()
-        admission = threading.Semaphore(self.PIPELINE_MAX_IN_FLIGHT)
-        broken = threading.Event()
-        # One session shared by all workers of this connection: the
-        # underlying schema rx cache is thread-safe, and pipelined frames
-        # of one connection form one negotiated session.
-        session = TransportSession()
-        executor = ThreadPoolExecutor(
-            max_workers=self.PIPELINE_WORKERS,
-            thread_name_prefix=f"{self._label}-pipe",
-        )
-
-        def work(corr_id: int, request: bytearray) -> None:
-            try:
-                try:
-                    response = call_handler(self._handler, request, session)
-                except Exception:  # noqa: BLE001 - same contract as sequential
-                    broken.set()
-                    return
-                try:
-                    with write_lock:
-                        write_frame_corr(conn, corr_id, response)
-                except TransportError:
-                    broken.set()
-            finally:
-                admission.release()
-
+    def _answer(self, connection: _Connection, corr_id, payload) -> None:
+        """Write one reply frame, then release the frame's in-flight slot."""
+        sock = connection.sock
         try:
-            while not self._stopping.is_set() and not broken.is_set():
+            with connection.write_lock:
+                if corr_id is not None:
+                    write_frame_corr(sock, corr_id, payload)
+                elif connection.zero_copy and len(payload) <= MAX_FRAME_BYTES:
+                    try:
+                        # One contiguous ring record: what lets the client
+                        # decode the reply off a borrowed slice.
+                        sock.send_frame(_LEN.pack(len(payload)), payload)
+                    except BlockingIOError:
+                        write_frame(sock, payload)
+                else:
+                    write_frame(sock, payload)
+        except DeadlineExceededError:
+            # The peer stopped reading: reap it rather than let its
+            # reply pin this worker (and the write lock) indefinitely.
+            self._stalled_counter.add()
+            self._shut(connection)
+        except (OSError, TransportError):
+            self._shut(connection)
+        self._settle(connection)
+
+    def _settle(self, connection: _Connection, reader_exit: bool = False) -> None:
+        """Release one frame's slot (or the reader's hold); the last
+        holder closes the socket and unregisters the connection."""
+        state = connection.state
+        with state:
+            if reader_exit:
+                connection.reading = False
+            else:
+                connection.pending -= 1
+                state.notify()
+            last = not connection.reading and not connection.pending
+            if last:
+                connection.closed = True
                 try:
-                    corr_id, request = read_frame_corr(conn)
-                except TransportError:
-                    return
-                admission.acquire()
-                executor.submit(work, corr_id, request)
-        finally:
-            # Dropping the connection (the context manager in the caller
-            # closes it) fails the client's pending calls; workers still
-            # running just hit a dead socket.
-            executor.shutdown(wait=False)
+                    connection.sock.close()
+                except OSError:
+                    pass
+        if last:
+            with self._conns_lock:
+                self._conns.discard(connection)
+
+    def _shut(self, connection: _Connection) -> None:
+        """Wake everything blocked on the connection; new I/O fails."""
+        with connection.state:
+            if connection.closed:
+                return
+            connection.closed = True
+            connection.state.notify()
+            try:
+                connection.sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+
+    def _unanswered(self) -> int:
+        with self._conns_lock:
+            return sum(connection.pending for connection in self._conns)
+
+    # ------------------------------------------------------------- stop
 
     def stop(self, grace: Optional[float] = None) -> None:
-        """Stop accepting, drain in-flight requests, then force-close.
+        """Stop accepting, drain in-flight work, then force-close.
 
-        Connection threads get *grace* seconds (default
-        :attr:`STOP_GRACE_SECONDS`) to finish the request they are
-        serving; any connection still open afterwards is closed out from
-        under its thread, which unblocks its pending ``read_frame``.
+        Queued and executing requests get *grace* seconds (default
+        :attr:`STOP_GRACE_SECONDS`) to finish and flush; frames arriving
+        meanwhile are answered with BUSY(draining). Whatever is still
+        queued at the deadline is rejected with BUSY, then every
+        connection is closed. The UDS-path unlink (and any other
+        :meth:`_on_stop` cleanup) runs strictly after the listener is
+        closed.
         """
         if grace is None:
             grace = self.STOP_GRACE_SECONDS
-        self._stopping.set()
+        with self._conns_lock:
+            first = not self._draining.is_set()
+            self._draining.set()
+        if not first:
+            self._stopped.wait(grace)
+            return
         try:
-            self._sock.close()
+            self._sock.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
         except OSError:
             pass
+        self._sock.close()
         self._accept_thread.join(timeout=grace)
         deadline = time.monotonic() + grace
-        with self._conn_lock:
-            threads = list(self._conn_threads)
-        for thread in threads:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            thread.join(timeout=remaining)
-        with self._conn_lock:
-            stragglers = list(self._conn_socks)
-        for conn in stragglers:
-            # Grace expired: half-close first so the peer observes a
-            # clean EOF (not a reset racing its last write), then close.
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        with self._conn_lock:
-            threads = list(self._conn_threads)
-        for thread in threads:
-            thread.join(timeout=0.1)
-        # Endpoint cleanup (e.g. UDS unlink) strictly after the listener
-        # closed above — a successor rebinding the endpoint must never be
-        # unlinked by this server's late shutdown.
+        while self._unanswered() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        forced = bool(self._unanswered())
+        if forced:
+            rejected = self._jobs.drain()
+            for connection, corr_id, _payload in rejected:
+                self._drain_shed_counter.add()
+                self._answer(connection, corr_id, _BUSY_DRAINING)
+            if rejected:
+                self.metrics.counter("server.drain.rejected").add(len(rejected))
+        self._jobs.close()
+        with self._conns_lock:
+            connections = list(self._conns)
+        for connection in connections:
+            self._shut(connection)
+        join_by = time.monotonic() + 1.0
+        for connection in connections:
+            if connection.reader.is_alive():
+                connection.reader.join(timeout=max(0.0, join_by - time.monotonic()))
+        for thread in self._workers:
+            # Workers stuck in a runaway handler are daemons; don't hang
+            # shutdown on them.
+            thread.join(timeout=0.5)
+        with self._conns_lock:
+            # A runaway handler's connection is shut, not served.
+            self._conns.clear()
+        self.metrics.counter(
+            "server.drain.forced" if forced else "server.drain.graceful"
+        ).add()
         self._on_stop()
+        self._stopped.set()
 
-    def __enter__(self) -> "ThreadedStreamServer":
+    def __enter__(self) -> "StreamServer":
         return self
 
     def __exit__(self, *exc_info: object) -> None:

@@ -18,7 +18,6 @@ from repro.transport.stream import (
     PipelinedStreamChannel,
     StreamChannel,
     StreamServer,
-    ThreadedStreamServer,
 )
 
 
@@ -46,11 +45,11 @@ def _dial_tcp(host: str, port: int, timeout: Optional[float]) -> socket.socket:
 
 
 class TcpServer(StreamServer):
-    """Serves a request handler over TCP until stopped (staged core).
+    """Serves a request handler over TCP until stopped.
 
-    Keyword *server_options* pass through to the staged stream server:
+    Keyword *server_options* pass through to :class:`StreamServer`:
     ``workers``, ``queue_capacity``, ``max_inflight_per_conn``,
-    ``overload_policy``, ``partial_read_timeout``, ``metrics``.
+    ``partial_read_timeout``, ``metrics``.
 
     Usable as a context manager::
 
@@ -70,25 +69,6 @@ class TcpServer(StreamServer):
         super().__init__(
             handler, sock, label=f"tcp-{self.port}", **server_options
         )
-
-    @property
-    def address(self) -> str:
-        return f"tcp://{self.host}:{self.port}"
-
-    def _configure_connection(self, conn: socket.socket) -> None:
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-
-
-class ThreadedTcpServer(ThreadedStreamServer):
-    """Thread-per-connection TCP server, kept as the scaling baseline
-    for the staged core's concurrency sweep (see ``repro.bench.regress``)."""
-
-    def __init__(
-        self, handler: RequestHandler, host: str = "127.0.0.1", port: int = 0
-    ) -> None:
-        sock = _bind_tcp(host, port)
-        self.host, self.port = sock.getsockname()
-        super().__init__(handler, sock, label=f"tcp-thr-{self.port}")
 
     @property
     def address(self) -> str:

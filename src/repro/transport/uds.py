@@ -76,9 +76,9 @@ class UdsServer(StreamServer):
     With no *path*, a fresh socket under the temp dir is used and both
     the path attribute and :attr:`address` report where it landed.
 
-    Keyword *server_options* pass through to the staged stream server:
+    Keyword *server_options* pass through to :class:`StreamServer`:
     ``workers``, ``queue_capacity``, ``max_inflight_per_conn``,
-    ``overload_policy``, ``partial_read_timeout``, ``metrics``.
+    ``partial_read_timeout``, ``metrics``.
     """
 
     def __init__(
@@ -107,9 +107,9 @@ class UdsServer(StreamServer):
         return f"uds://{self.path}"
 
     def _on_stop(self) -> None:
-        # The staged server invokes this only after the listener is
-        # closed and the net thread has exited, so this unlink can never
-        # race a successor that already reclaimed the path by binding it.
+        # The server invokes this only after the listener is closed, so
+        # this unlink can never race a successor that already reclaimed
+        # the path by binding it.
         try:
             os.unlink(self.path)
         except OSError:

@@ -121,13 +121,18 @@ RING_ALIGN = 8
 #: Length-field value marking "skip to the start of the buffer".
 WRAP_MARKER = 0xFFFFFFFF
 
-_U64 = struct.Struct("<Q")
 _U32 = struct.Struct("<I")
 
-_OFF_TAIL = 0
-_OFF_HEAD = 64
-_OFF_CONSUMER_WAITING = 128
-_OFF_PRODUCER_WAITING = 192
+# Control words are read and written through ``cast("Q")``/``cast("I")``
+# views, one aligned machine load or store per access. ``struct.pack_into``
+# is not usable here: it zero-fills the target bytes before writing the
+# value, so a peer process can load 0 in the middle of a store — a torn
+# ``tail`` reads as a negative backlog or a read past the published end.
+# Indices are word offsets into those views (byte offsets 0/64/128/192).
+_Q_TAIL = 0
+_Q_HEAD = 8
+_I_CONSUMER_WAITING = 32
+_I_PRODUCER_WAITING = 48
 
 
 def ring_region_size(capacity: int) -> int:
@@ -159,6 +164,8 @@ class _RingSide:
             base = base.cast("B")
         self._base = base
         self._ctrl = base[offset : offset + CTRL_BYTES]
+        self._words = self._ctrl.cast("Q")
+        self._flags = self._ctrl.cast("I")
         self._data = base[offset + CTRL_BYTES : offset + CTRL_BYTES + capacity]
         self._cap = capacity
         self._mask = capacity - 1
@@ -169,6 +176,8 @@ class _RingSide:
 
     def detach(self) -> None:
         """Release the buffer views so the backing mmap can close."""
+        self._words.release()
+        self._flags.release()
         self._ctrl.release()
         self._data.release()
         self._base.release()
@@ -180,7 +189,7 @@ class RingProducer(_RingSide):
     def __init__(self, buffer, offset: int, capacity: int) -> None:
         super().__init__(buffer, offset, capacity)
         # Local tail mirror: authoritative, since only we advance it.
-        self._tail = _U64.unpack_from(self._ctrl, _OFF_TAIL)[0]
+        self._tail = self._words[_Q_TAIL]
         # In-flight reservation (zero-copy writer). The length header is
         # only written at commit, so an aborted reservation leaves no
         # trace and a crashed writer never publishes a torn record.
@@ -199,11 +208,11 @@ class RingProducer(_RingSide):
             view = view.cast("B")
         remaining = len(view)
         total = 0
-        ctrl, ring = self._ctrl, self._data
+        words, ring = self._words, self._data
         cap, mask = self._cap, self._mask
         while remaining:
             tail = self._tail
-            head = _U64.unpack_from(ctrl, _OFF_HEAD)[0]
+            head = words[_Q_HEAD]
             free = cap - (tail - head)
             if free < RECORD_HEADER + RING_ALIGN:
                 break
@@ -218,7 +227,7 @@ class RingProducer(_RingSide):
                     break
                 _U32.pack_into(ring, pos, WRAP_MARKER)
                 tail += till_end
-                _U64.pack_into(ctrl, _OFF_TAIL, tail)
+                words[_Q_TAIL] = tail
                 self._tail = tail
                 continue
             span = min(till_end, free)
@@ -229,7 +238,7 @@ class RingProducer(_RingSide):
             _U32.pack_into(ring, pos, chunk)
             # Publish *after* payload and header are in place.
             tail += RECORD_HEADER + ((chunk + RING_ALIGN - 1) & ~(RING_ALIGN - 1))
-            _U64.pack_into(ctrl, _OFF_TAIL, tail)
+            words[_Q_TAIL] = tail
             self._tail = tail
             total += chunk
             remaining -= chunk
@@ -257,11 +266,11 @@ class RingProducer(_RingSide):
             raise RuntimeError("ring reservation already active")
         if nbytes <= 0:
             raise ValueError(f"reserve needs a positive size: {nbytes}")
-        ctrl, ring = self._ctrl, self._data
+        words, ring = self._words, self._data
         cap, mask = self._cap, self._mask
         while True:
             tail = self._tail
-            head = _U64.unpack_from(ctrl, _OFF_HEAD)[0]
+            head = words[_Q_HEAD]
             free = cap - (tail - head)
             if free < RECORD_HEADER + RING_ALIGN:
                 return None
@@ -272,7 +281,7 @@ class RingProducer(_RingSide):
                     return None
                 _U32.pack_into(ring, pos, WRAP_MARKER)
                 tail += till_end
-                _U64.pack_into(ctrl, _OFF_TAIL, tail)
+                words[_Q_TAIL] = tail
                 self._tail = tail
                 continue
             span = min(till_end, free)
@@ -308,7 +317,7 @@ class RingProducer(_RingSide):
         tail = self._tail
         _U32.pack_into(self._data, tail & self._mask, nbytes)
         tail += RECORD_HEADER + ((nbytes + RING_ALIGN - 1) & ~(RING_ALIGN - 1))
-        _U64.pack_into(self._ctrl, _OFF_TAIL, tail)
+        self._words[_Q_TAIL] = tail
         self._tail = tail
 
     def abort(self) -> None:
@@ -333,7 +342,7 @@ class RingProducer(_RingSide):
 
     def writable(self) -> bool:
         """Whether :meth:`try_write` could accept at least one byte now."""
-        head = _U64.unpack_from(self._ctrl, _OFF_HEAD)[0]
+        head = self._words[_Q_HEAD]
         free = self._cap - (self._tail - head)
         pos = self._tail & self._mask
         till_end = self._cap - pos
@@ -343,7 +352,7 @@ class RingProducer(_RingSide):
 
     def free_bytes(self) -> int:
         """Raw unreserved bytes (headers/padding not accounted)."""
-        head = _U64.unpack_from(self._ctrl, _OFF_HEAD)[0]
+        head = self._words[_Q_HEAD]
         return self._cap - (self._tail - head)
 
     # ----------------------------------------------------- doorbell flags
@@ -352,15 +361,15 @@ class RingProducer(_RingSide):
     def peer_waiting(self) -> bool:
         """True when the consumer declared itself parked: a producer that
         just published must ring the doorbell."""
-        return _U32.unpack_from(self._ctrl, _OFF_CONSUMER_WAITING)[0] != 0
+        return self._flags[_I_CONSUMER_WAITING] != 0
 
     def set_waiting(self) -> None:
         """Declare this producer parked on a full ring (set before the
         final emptiness re-check, cleared after waking)."""
-        _U32.pack_into(self._ctrl, _OFF_PRODUCER_WAITING, 1)
+        self._flags[_I_PRODUCER_WAITING] = 1
 
     def clear_waiting(self) -> None:
-        _U32.pack_into(self._ctrl, _OFF_PRODUCER_WAITING, 0)
+        self._flags[_I_PRODUCER_WAITING] = 0
 
 
 class RingConsumer(_RingSide):
@@ -368,7 +377,7 @@ class RingConsumer(_RingSide):
 
     def __init__(self, buffer, offset: int, capacity: int) -> None:
         super().__init__(buffer, offset, capacity)
-        self._head = _U64.unpack_from(self._ctrl, _OFF_HEAD)[0]
+        self._head = self._words[_Q_HEAD]
         # Partially-consumed record: local state only — head (and thus
         # the producer's free space) advances on record boundaries.
         self._rec_pos = 0
@@ -388,7 +397,7 @@ class RingConsumer(_RingSide):
         if view.format != "B":
             view = view.cast("B")
         want = nbytes or len(view)
-        ctrl, ring = self._ctrl, self._data
+        words, ring = self._words, self._data
         copied = 0
         while copied < want:
             if self._rec_remaining:
@@ -404,18 +413,18 @@ class RingConsumer(_RingSide):
                     # Free the record's span only once fully copied out.
                     padded = (self._rec_len + RING_ALIGN - 1) & ~(RING_ALIGN - 1)
                     head = self._head + RECORD_HEADER + padded
-                    _U64.pack_into(ctrl, _OFF_HEAD, head)
+                    words[_Q_HEAD] = head
                     self._head = head
                 continue
             head = self._head
-            tail = _U64.unpack_from(ctrl, _OFF_TAIL)[0]
+            tail = words[_Q_TAIL]
             if tail == head:
                 break
             pos = head & self._mask
             (length,) = _U32.unpack_from(ring, pos)
             if length == WRAP_MARKER:
                 head += self._cap - pos
-                _U64.pack_into(ctrl, _OFF_HEAD, head)
+                words[_Q_HEAD] = head
                 self._head = head
                 continue
             if length == 0 or length > self._cap - RECORD_HEADER:
@@ -448,17 +457,17 @@ class RingConsumer(_RingSide):
         """
         if self._borrow is not None:
             raise RuntimeError("ring borrow already active")
-        ctrl, ring = self._ctrl, self._data
+        words, ring = self._words, self._data
         while not self._rec_remaining:
             head = self._head
-            tail = _U64.unpack_from(ctrl, _OFF_TAIL)[0]
+            tail = words[_Q_TAIL]
             if tail == head:
                 return None
             pos = head & self._mask
             (length,) = _U32.unpack_from(ring, pos)
             if length == WRAP_MARKER:
                 head += self._cap - pos
-                _U64.pack_into(ctrl, _OFF_HEAD, head)
+                words[_Q_HEAD] = head
                 self._head = head
                 continue
             if length == 0 or length > self._cap - RECORD_HEADER:
@@ -500,7 +509,7 @@ class RingConsumer(_RingSide):
         if not self._rec_remaining:
             padded = (self._rec_len + RING_ALIGN - 1) & ~(RING_ALIGN - 1)
             head = self._head + RECORD_HEADER + padded
-            _U64.pack_into(self._ctrl, _OFF_HEAD, head)
+            self._words[_Q_HEAD] = head
             self._head = head
 
     def detach(self) -> None:
@@ -512,14 +521,14 @@ class RingConsumer(_RingSide):
         """Upper bound on pending stream bytes (includes record headers
         and padding still to be skipped) — cheap sizing hint for read
         buffers; the exact count comes out of :meth:`try_read_into`."""
-        tail = _U64.unpack_from(self._ctrl, _OFF_TAIL)[0]
+        tail = self._words[_Q_TAIL]
         return tail - self._head + self._rec_remaining
 
     def readable(self) -> bool:
         """Whether at least one stream byte is pending."""
         if self._rec_remaining:
             return True
-        tail = _U64.unpack_from(self._ctrl, _OFF_TAIL)[0]
+        tail = self._words[_Q_TAIL]
         head = self._head
         if tail == head:
             return False
@@ -536,15 +545,15 @@ class RingConsumer(_RingSide):
     def peer_waiting(self) -> bool:
         """True when the producer is parked on a full ring: a consumer
         that just freed space must ring the doorbell."""
-        return _U32.unpack_from(self._ctrl, _OFF_PRODUCER_WAITING)[0] != 0
+        return self._flags[_I_PRODUCER_WAITING] != 0
 
     def set_waiting(self) -> None:
         """Declare this consumer parked (or, for a selector-driven
         consumer, permanently interested in doorbell bytes)."""
-        _U32.pack_into(self._ctrl, _OFF_CONSUMER_WAITING, 1)
+        self._flags[_I_CONSUMER_WAITING] = 1
 
     def clear_waiting(self) -> None:
-        _U32.pack_into(self._ctrl, _OFF_CONSUMER_WAITING, 0)
+        self._flags[_I_CONSUMER_WAITING] = 0
 
 
 def producer_view(buffer, offset: int, capacity: int) -> RingProducer:

@@ -18,6 +18,8 @@ import time
 import pytest
 
 from repro.analysis import analyze_paths
+from repro.analysis.engine import build_project
+from repro.analysis.project import ROLE_READER, ROLE_WORKER, concurrency_model
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -32,19 +34,50 @@ def test_repo_sources_lint_clean():
     assert result.files > 80  # the walk really covered the tree
 
 
-def test_concurrency_rules_engage_on_repo():
-    """NRMI04x must actually run over the staged core and shm ring: the
-    suppression in netloop.py proves NRMI041 engaged, and the ring rule
-    must pass over the real producer/consumer split WITHOUT suppressions.
+CONCURRENCY_RULES = ["NRMI041", "NRMI042", "NRMI043", "NRMI044", "NRMI045", "NRMI046"]
+STREAM = ROOT / "src" / "repro" / "transport" / "stream.py"
+SHM = ROOT / "src" / "repro" / "transport" / "shm.py"
+
+
+def test_concurrency_rules_engage_on_repo(tmp_path):
+    """NRMI04x must actually run over the stream server and shm ring.
+
+    Three proofs: role inference sees the server's per-connection reader
+    and its workers (on the core and on its shm subclass); the repo is
+    clean with no NRMI04x suppression at all, so the ring rule passes
+    over the real producer/consumer split unaided; and NRMI041 fires on
+    a copy of the server with one injected unguarded cross-role write.
     """
     result = analyze_paths(
-        [str(ROOT / "src"), str(ROOT / "examples")],
-        select=["NRMI041", "NRMI042", "NRMI043", "NRMI044", "NRMI045", "NRMI046"],
+        [str(ROOT / "src"), str(ROOT / "examples")], select=CONCURRENCY_RULES
     )
     assert result.findings == []
-    suppressed = {(f.code, pathlib.Path(f.path).name) for f in result.suppressed}
-    assert ("NRMI041", "netloop.py") in suppressed
-    assert not any(code == "NRMI043" for code, _ in suppressed)
+    assert not [f for f in result.suppressed if f.code in CONCURRENCY_RULES]
+
+    project, _ = build_project([str(STREAM), str(SHM)])
+    roles = {
+        cc.cls.name: set().union(*cc.roles.values())
+        for cc in concurrency_model(project).classes
+    }
+    for name in ("StreamServer", "ShmServer"):
+        assert {ROLE_READER, ROLE_WORKER} <= roles[name], (name, roles[name])
+
+    source = STREAM.read_text(encoding="utf-8")
+    clean = tmp_path / "clean" / "stream.py"
+    clean.parent.mkdir()
+    clean.write_text(source, encoding="utf-8")
+    assert analyze_paths([str(clean)], select=["NRMI041"]).findings == []
+
+    # The worker loop rewrites a limit the reader threads read, unlocked.
+    anchor = "            completed.add()\n"
+    assert source.count(anchor) == 1
+    injection = "            self._max_inflight = 1\n"
+    bait = tmp_path / "bait" / "stream.py"
+    bait.parent.mkdir()
+    bait.write_text(source.replace(anchor, anchor + injection), encoding="utf-8")
+    line = source[: source.index(anchor)].count("\n") + 2
+    findings = analyze_paths([str(bait)], select=["NRMI041"]).findings
+    assert [(f.code, f.line) for f in findings] == [("NRMI041", line)]
 
 
 @pytest.mark.bench_smoke

@@ -1,11 +1,12 @@
-"""The staged server core: bounded queue, shedding, drain, reaping.
+"""The server core: bounded queue, shedding, drain, reaping.
 
-These tests drive :class:`repro.transport.netloop.StagedStreamServer`
+These tests drive :class:`repro.transport.stream.StreamServer`
 through its TCP/UDS bindings with plain ``bytes -> bytes`` handlers and
 raw sockets, below the RMI stack — the chaos matrix covers the same
 behaviours end-to-end through proxies and retries.
 """
 
+import contextlib
 import socket
 import struct
 import threading
@@ -16,8 +17,8 @@ import pytest
 from repro.errors import RetryableError, ServerBusyError, TransportError
 from repro.rmi.protocol import Status, busy_response, raise_if_busy
 from repro.transport.framing import read_frame, write_frame
-from repro.transport.netloop import StagedStreamServer
-from repro.transport.tcp import TcpChannel, TcpServer, ThreadedTcpServer
+from repro.transport.stream import StreamServer
+from repro.transport.tcp import TcpChannel, TcpServer
 from repro.util.metrics import MetricsRegistry
 
 _LEN = struct.Struct(">I")
@@ -61,8 +62,8 @@ class TestBusyShedding:
             TcpServer(echo, queue_capacity=0)
         with pytest.raises(ValueError):
             TcpServer(echo, max_inflight_per_conn=0)
-        with pytest.raises(ValueError):
-            TcpServer(echo, overload_policy="panic")
+        with pytest.raises(TypeError):  # the knob is gone: shedding is the policy
+            TcpServer(echo, overload_policy="shed")
 
     def test_queue_full_answers_busy_frame_immediately(self):
         """workers=1, queue=1, handler gated shut: the 3rd request meets
@@ -123,30 +124,6 @@ class TestBusyShedding:
             occupier.close()
             queued.close()
 
-    def test_block_policy_backpressures_instead_of_shedding(self):
-        """overload_policy="block" parks the frame and pauses reads; once
-        the worker frees up everything completes, nothing is shed."""
-        handler = GatedHandler()
-        metrics = MetricsRegistry()
-        with TcpServer(
-            handler,
-            workers=1,
-            queue_capacity=1,
-            overload_policy="block",
-            metrics=metrics,
-        ) as server:
-            socks = [dial(server) for _ in range(3)]
-            for index, sock in enumerate(socks):
-                write_frame(sock, bytes([index]))
-            assert handler.started.wait(5.0)
-            handler.release.set()
-            for index, sock in enumerate(socks):
-                assert bytes(read_frame(sock, timeout=5.0)) == bytes([index])
-            assert metrics.counter("server.shed.queue_full").value == 0
-            assert handler.executions == 3
-            for sock in socks:
-                sock.close()
-
 
 class TestDrain:
     def test_stop_answers_backlog_with_busy_draining(self):
@@ -176,7 +153,7 @@ class TestDrain:
         write_frame(occupier, b"backlogged")
 
         stopper = threading.Thread(target=server.stop, args=(5.0,))
-        time.sleep(0.05)  # let the backlog frame reach the net loop
+        time.sleep(0.05)  # let the backlog frame reach its reader
         stopper.start()
         time.sleep(0.1)
         handler.release.set()
@@ -274,6 +251,69 @@ class TestSlowLoris:
             healthy.close()
             loris.close()
 
+    @pytest.mark.parametrize("transport", ["tcp", "shm"])
+    def test_unread_reply_cannot_pin_the_worker(self, transport):
+        """A client that sends a call and never reads the reply holds the
+        only worker only until the write deadline reaps it; another
+        client is then served."""
+        big = b"x" * (32 << 20)  # far past any socket buffer or ring
+        writing_big = threading.Event()
+
+        def handler(request):
+            if bytes(request) == b"big":
+                writing_big.set()
+                return big
+            return bytes(request)
+
+        metrics = MetricsRegistry()
+        options = dict(workers=1, partial_read_timeout=0.5, metrics=metrics)
+        if transport == "tcp":
+            server = TcpServer(handler, **options)
+
+            def request(payload):
+                sock = dial(server)
+                write_frame(sock, payload)
+                return sock
+
+            def call(payload):
+                with contextlib.closing(request(payload)) as sock:
+                    return bytes(read_frame(sock, timeout=10.0))
+
+        else:
+            from repro.transport.shm import (
+                ShmChannel,
+                ShmServer,
+                _dial_shm,
+                shm_supported,
+            )
+
+            if not shm_supported():
+                pytest.skip("platform lacks AF_UNIX fd passing")
+            server = ShmServer(handler, **options)
+
+            def request(payload):
+                duplex = _dial_shm(server.name, 5.0, 0)
+                write_frame(duplex, payload)
+                return duplex
+
+            def call(payload):
+                with contextlib.closing(ShmChannel(server.name, timeout=10.0)) as ch:
+                    return bytes(ch.request(payload))
+
+        with server:
+            hog = request(b"big")  # never reads its reply
+            try:
+                assert writing_big.wait(5.0)
+                started = time.monotonic()
+                assert call(b"ok") == b"ok"
+                assert time.monotonic() - started < 5.0
+                assert (
+                    metrics.counter("server.connections.reaped_stalled").value
+                    == 1
+                )
+            finally:
+                hog.close()
+
     def test_fault_channel_stall_mode_leaves_pool_clean(self):
         from repro.transport.fault import FaultInjectingChannel
 
@@ -324,18 +364,69 @@ class TestContract:
                 read_frame(replacement, timeout=5.0)
             replacement.close()
 
-    def test_threaded_baseline_still_serves(self):
-        with ThreadedTcpServer(echo) as server:
-            sock = dial(server)
-            write_frame(sock, b"legacy")
-            assert bytes(read_frame(sock, timeout=5.0)) == b"legacy"
-            sock.close()
+    def test_pipelined_inflight_cap_blocks_the_reader(self):
+        """16 callers share one pipelined connection to 8 workers under
+        ``max_inflight_per_conn=2``: at most 2 of its calls ever execute
+        at once, none is shed, and every caller gets its own reply."""
+        import sys
+
+        from repro.transport.tcp import PipelinedTcpChannel
+
+        running = 0
+        peak = 0
+        lock = threading.Lock()
+
+        def slow_echo(request):
+            nonlocal running, peak
+            with lock:
+                running += 1
+                peak = max(peak, running)
+            time.sleep(0.005)
+            with lock:
+                running -= 1
+            return bytes(request)
+
+        metrics = MetricsRegistry()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with TcpServer(
+                slow_echo, workers=8, max_inflight_per_conn=2, metrics=metrics
+            ) as server:
+                channel = PipelinedTcpChannel(server.host, server.port, timeout=10.0)
+                errors = []
+
+                def caller(index):
+                    for call in range(10):
+                        payload = f"{index}-{call}".encode()
+                        if channel.request(payload) != payload:
+                            errors.append(payload)
+
+                threads = [
+                    threading.Thread(target=caller, args=(i,)) for i in range(16)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                assert not any(thread.is_alive() for thread in threads)
+                channel.close()
+                assert errors == []
+                assert peak == 2
+                assert metrics.counter("server.shed.queue_full").value == 0
+                assert metrics.counter("server.jobs.submitted").value == 160
+                assert metrics.counter("server.jobs.completed").value == 160
+        finally:
+            sys.setswitchinterval(interval)
+        # Every admitted frame was accounted as answered: the drain at
+        # stop() found nothing outstanding.
+        assert metrics.counter("server.drain.graceful").value == 1
 
     def test_staged_server_requires_subclass_address(self):
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.bind(("127.0.0.1", 0))
         sock.listen(1)
-        server = StagedStreamServer(echo, sock, label="raw", workers=1)
+        server = StreamServer(echo, sock, label="raw", workers=1)
         try:
             with pytest.raises(NotImplementedError):
                 _ = server.address

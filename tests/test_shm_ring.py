@@ -2,8 +2,8 @@
 
 The ring tests drive :mod:`repro.util.ring` directly over a plain
 bytearray — wrap-around at every (aligned) offset, full-ring
-backpressure, the doorbell waiting flags, and a two-thread byte-exact
-stress run. The transport tests stand up real :class:`ShmServer`
+backpressure, the doorbell waiting flags, and two-thread and
+two-process byte-exact stress runs. The transport tests stand up real :class:`ShmServer`
 instances: round trips plain and pipelined, frames larger than the ring,
 park/wake when the client outlasts its spin budget, idle-CPU parking,
 and the rendezvous-socket lifecycle (live-server refusal, stale-socket
@@ -195,6 +195,59 @@ class TestRingPrimitives:
         assert not any(thread.is_alive() for thread in threads)
         assert bytes(received) == payload
 
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs at least 2 CPUs to run both sides at once",
+    )
+    def test_two_process_byte_exact_stress(self, tmp_path):
+        """Cross-process twin of the two-thread stress: a producer in a
+        spawned process and this process's consumer share one ring
+        through a file-backed mmap.
+
+        Many small records mean many ``tail`` stores racing the
+        consumer's loads. A control word that can be observed half
+        written shows up as a negative ``pending_bytes()`` or as a read
+        past the published end (a corrupt record or wrong bytes).
+        """
+        import mmap
+        import multiprocessing
+
+        capacity = 4096
+        size = ring_region_size(capacity)
+        path = tmp_path / "ring"
+        path.write_bytes(bytes(size))
+        with open(path, "r+b") as handle:
+            segment = mmap.mmap(handle.fileno(), size)
+        payload = random.Random(7).randbytes(1_500_000)
+        producer = multiprocessing.get_context("spawn").Process(
+            target=_produce_ring, args=(str(path), capacity, len(payload))
+        )
+        producer.start()
+        rx = consumer_view(segment, 0, capacity)
+        received = bytearray()
+        buf = bytearray(1500)
+        negative = 0
+        deadline = time.monotonic() + 60.0
+        try:
+            while len(received) < len(payload) and time.monotonic() < deadline:
+                # Both sides spin without yielding: each has its own CPU,
+                # and the loads must land while stores are in flight.
+                for _ in range(4):
+                    if rx.pending_bytes() < 0:
+                        negative += 1
+                got = rx.try_read_into(buf)
+                received.extend(buf[:got])
+        finally:
+            if len(received) < len(payload):
+                producer.kill()
+            producer.join(timeout=30.0)
+            rx.detach()
+            segment.close()
+        assert not producer.is_alive()
+        assert producer.exitcode == 0
+        assert negative == 0
+        assert bytes(received) == payload
+
     def test_corrupt_record_length_detected(self):
         """A record length no producer can write (torn cross-process read
         or trampled control block) must fail the read, not desync or
@@ -210,6 +263,21 @@ class TestRingPrimitives:
             struct.pack_into("<I", buffer, CTRL_BYTES, bogus)
             with pytest.raises(OSError, match="corrupt record length"):
                 rx.try_read_into(bytearray(16))
+
+
+def _produce_ring(path: str, capacity: int, length: int) -> None:
+    """Producer side of the two-process stress (runs in a spawned process):
+    the same payload as the consumer expects, in records of 1-15 bytes."""
+    import mmap
+
+    with open(path, "r+b") as handle:
+        segment = mmap.mmap(handle.fileno(), ring_region_size(capacity))
+    tx = producer_view(segment, 0, capacity)
+    view = memoryview(random.Random(7).randbytes(length))
+    sizes = random.Random(8)
+    sent = 0
+    while sent < len(view):
+        sent += tx.try_write(view[sent : sent + sizes.randrange(1, 16)])
 
 
 def echo_handler(request: bytes) -> bytes:
@@ -291,16 +359,15 @@ class TestShmTransport:
                 second.close()
 
     def test_idle_connection_burns_no_cpu(self):
-        """After the linger window expires both sides must be parked in
+        """After the spin window expires both sides must be parked in
         select — near-zero process CPU while the connection idles."""
-        from repro.transport.netloop import StagedStreamServer
-
         with ShmServer(echo_handler) as server:
             channel = ShmChannel(server.name)
             try:
                 assert channel.request(b"warm") == b"echo:warm"
-                # Let the net thread's linger poll expire and re-park.
-                time.sleep(10 * StagedStreamServer.DOORBELL_LINGER_SECONDS + 0.05)
+                # Outlast the server reader's spin-then-park window
+                # (DEFAULT_SPIN yields, a few milliseconds) many times.
+                time.sleep(0.25)
                 cpu_before = time.process_time()
                 wall_before = time.monotonic()
                 time.sleep(0.8)
@@ -368,6 +435,51 @@ class TestShmTransport:
             assert bytes(got) == payload
             with pytest.raises(BlockingIOError):
                 receiver.recv(64)
+        finally:
+            sender.close()
+            receiver.close()
+
+    def test_park_on_descriptor_above_select_limit(self):
+        """A server holds a doorbell per connection, so doorbell fds pass
+        1024; parking on one must wait (and time out), not read as EOF."""
+        import fcntl
+        import resource
+
+        from repro.transport.shm import _RingDuplex
+        from repro.util.ring import ring_region_size as region
+
+        if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1100:
+            pytest.skip("descriptor limit too low for an fd above 1024")
+        capacity = 4096
+        buffer = bytearray(2 * region(capacity))
+        init_ring(buffer, 0, capacity)
+        init_ring(buffer, region(capacity), capacity)
+        left, right = socket.socketpair(socket.AF_UNIX, socket.SOCK_STREAM)
+        high = socket.socket(fileno=fcntl.fcntl(right.fileno(), fcntl.F_DUPFD, 1024))
+        right.close()
+        sender = _RingDuplex(
+            buffer,
+            left,
+            consumer_view(buffer, region(capacity), capacity),
+            producer_view(buffer, 0, capacity),
+        )
+        receiver = _RingDuplex(
+            buffer,
+            high,
+            consumer_view(buffer, 0, capacity),
+            producer_view(buffer, region(capacity), capacity),
+            spin=0,
+        )
+        try:
+            assert high.fileno() >= 1024
+            receiver.settimeout(0.05)
+            with pytest.raises(socket.timeout):
+                receiver.recv_into(bytearray(16))
+            sender.sendall(b"late")
+            receiver.settimeout(5.0)
+            got = bytearray(16)
+            assert receiver.recv_into(got) == 4
+            assert bytes(got[:4]) == b"late"
         finally:
             sender.close()
             receiver.close()
